@@ -53,6 +53,22 @@ struct MetricsSnapshot {
   std::uint64_t request_latency_p999_ns() const noexcept {
     return request_latency.quantile(0.999);
   }
+
+  /// Turns this cumulative snapshot into the window since `earlier` (an
+  /// older snapshot of the same sink). Saturating, like the histogram and
+  /// taxonomy subtracts it is built from, so a torn pair clamps to zero.
+  void subtract(const MetricsSnapshot& earlier) noexcept {
+    safety_wait.subtract(earlier.safety_wait);
+    commit_latency.subtract(earlier.commit_latency);
+    sgl_hold.subtract(earlier.sgl_hold);
+    retries.subtract(earlier.retries);
+    request_latency.subtract(earlier.request_latency);
+    queue_depth.subtract(earlier.queue_depth);
+    reactor_batch.subtract(earlier.reactor_batch);
+    reactor_flush_bytes.subtract(earlier.reactor_flush_bytes);
+    durable_ack.subtract(earlier.durable_ack);
+    taxonomy.subtract(earlier.taxonomy);
+  }
 };
 
 /// One thread's histograms and taxonomy counters; padded so neighbours never

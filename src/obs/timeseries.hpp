@@ -2,12 +2,13 @@
 // endpoint's /series dump and the si_top dashboard.
 //
 // The serving layer's epoch thread (serve/service.hpp — the same thread that
-// drives the AIMD controller when admission control is on) snapshots the
-// cumulative obs::Metrics each tick and hands the snapshot here together
-// with the service-level cumulative counters (EpochExternals). The
-// aggregator diffs consecutive snapshots — histograms with the saturating
-// Histogram::subtract, taxonomy with Taxonomy::subtract — into one
-// EpochRecord per tick and pushes it into a fixed ring.
+// drives the AIMD controller when admission control is on) owns the one
+// previous snapshot: each tick it diffs the cumulative obs::Metrics against
+// it (MetricsSnapshot::subtract) and hands that window to both AIMD and this
+// aggregator, together with the service-level cumulative counters
+// (EpochExternals). The aggregator diffs the counters, reads the window's
+// histograms and taxonomy, and pushes one EpochRecord per tick into a fixed
+// ring.
 //
 // The ring keeps the last `capacity` epochs for dashboards, but the totals
 // (epochs pushed, completed requests covered) accumulate forever, so the
@@ -140,16 +141,19 @@ class TimeSeries {
   std::uint64_t completed_total_ = 0;
 };
 
-/// Turns a stream of cumulative (MetricsSnapshot, EpochExternals) samples
+/// Turns a stream of (metrics window, cumulative EpochExternals) samples
 /// into EpochRecords. Single caller at a time (the epoch thread); the only
 /// cross-thread surface is the TimeSeries it pushes into.
 class EpochAggregator {
  public:
   explicit EpochAggregator(TimeSeries* out) : out_(out) {}
 
-  /// Diffs `cum`/`ext` against the previous call (or against zero on the
-  /// first call, so epoch 0 covers start→first-tick) and pushes the record.
-  EpochRecord on_epoch(const MetricsSnapshot& cum, const EpochExternals& ext) {
+  /// `window` is the metrics delta over this epoch (the caller diffs the
+  /// snapshots); `ext` is diffed against the previous call (or against zero
+  /// on the first call, so epoch 0 covers start→first-tick). Pushes the
+  /// record and returns it.
+  EpochRecord on_epoch(const MetricsSnapshot& window,
+                       const EpochExternals& ext) {
     EpochRecord r;
     r.seq = seq_++;
     r.t_s = ext.now_s;
@@ -161,23 +165,14 @@ class EpochAggregator {
     r.failed = delta(ext.failed, prev_ext_.failed);
     r.goodput = r.dt_s > 0 ? static_cast<double>(r.completed) / r.dt_s : 0.0;
 
-    si::util::Histogram lat = cum.request_latency;
-    lat.subtract(prev_.request_latency);
-    r.req_p50_ns = lat.quantile(0.50);
-    r.req_p99_ns = lat.quantile(0.99);
-    r.req_p999_ns = lat.quantile(0.999);
-
-    si::util::Histogram qd = cum.queue_depth;
-    qd.subtract(prev_.queue_depth);
-    r.queue_depth_p99 = qd.quantile(0.99);
-
-    si::util::Histogram commits = cum.commit_latency;
-    commits.subtract(prev_.commit_latency);
-    r.commits = commits.count();
-
-    Taxonomy tax = cum.taxonomy;
-    tax.subtract(prev_.taxonomy);
-    for (int i = 0; i < kTaxonomyCounters; ++i) r.aborts[i] = tax.count(i);
+    r.req_p50_ns = window.request_latency.quantile(0.50);
+    r.req_p99_ns = window.request_latency.quantile(0.99);
+    r.req_p999_ns = window.request_latency.quantile(0.999);
+    r.queue_depth_p99 = window.queue_depth.quantile(0.99);
+    r.commits = window.commit_latency.count();
+    for (int i = 0; i < kTaxonomyCounters; ++i) {
+      r.aborts[i] = window.taxonomy.count(i);
+    }
 
     r.watermark = static_cast<std::uint64_t>(ext.watermark);
     r.conns = ext.conns;
@@ -189,16 +184,14 @@ class EpochAggregator {
     r.log_fsyncs = delta(ext.log_fsyncs, prev_ext_.log_fsyncs);
     r.durable_lsn = ext.durable_lsn;
 
-    prev_ = cum;
     prev_ext_ = ext;
     if (out_ != nullptr) out_->push(r);
     return r;
   }
 
-  /// Re-baselines (next on_epoch diffs against zero) and clears the ring —
-  /// phase hygiene for warm-up/measure splits.
+  /// Re-baselines (next on_epoch diffs the counters against zero) and
+  /// clears the ring — phase hygiene for warm-up/measure splits.
   void reset() {
-    prev_ = MetricsSnapshot{};
     prev_ext_ = EpochExternals{};
     seq_ = 0;
     if (out_ != nullptr) out_->reset();
@@ -211,7 +204,6 @@ class EpochAggregator {
   }
 
   TimeSeries* out_;
-  MetricsSnapshot prev_{};
   EpochExternals prev_ext_{};
   std::uint64_t seq_ = 0;
 };

@@ -4,13 +4,15 @@
 //
 // Workload code written against the generic transaction-handle concept
 // (`read`, `write`, `read_bytes`, `write_bytes`) runs unmodified on any
-// backend; `Runtime::execute` dispatches through a generic lambda, so there
+// backend; `Runtime` holds the selected backend in one std::variant and
+// every method dispatches with one std::visit over a generic lambda, so there
 // is no virtual call on the access path.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
 #include <string_view>
+#include <variant>
+#include <vector>
 
 #include "baselines/htm_sgl.hpp"
 #include "baselines/p8tm.hpp"
@@ -64,51 +66,17 @@ struct RuntimeConfig {
 
 class Runtime {
  public:
-  explicit Runtime(const RuntimeConfig& cfg) : cfg_(cfg), backend_(cfg.backend) {
-    switch (cfg.backend) {
-      case Backend::kHtm:
-        htm_ = std::make_unique<si::baselines::HtmSgl>(si::baselines::HtmSglConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kSiHtm:
-        sihtm_ = std::make_unique<si::sihtm::SiHtm>(si::sihtm::SiHtmConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kP8tm:
-        p8tm_ = std::make_unique<si::baselines::P8tm>(si::baselines::P8tmConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kSilo:
-        silo_ = std::make_unique<si::baselines::Silo>(si::baselines::SiloConfig{
-            .max_threads = cfg.max_threads, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kRawRot:
-        raw_rot_ = std::make_unique<si::baselines::RawRot>(si::baselines::RawRotConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads,
-            .recorder = cfg.recorder, .obs = cfg.obs});
-        break;
-    }
-  }
+  explicit Runtime(const RuntimeConfig& cfg)
+      : cfg_(cfg), backend_(make_backend(cfg)) {}
 
-  Backend backend() const noexcept { return backend_; }
+  Backend backend() const noexcept { return cfg_.backend; }
 
   /// The configuration the runtime was built with. Phase hygiene: the
   /// driver's reset_phase_counters() reaches the obs sinks through here.
   const RuntimeConfig& config() const noexcept { return cfg_; }
 
   void register_thread(int tid) {
-    if (htm_) htm_->register_thread(tid);
-    if (sihtm_) sihtm_->register_thread(tid);
-    if (p8tm_) p8tm_->register_thread(tid);
-    if (silo_) silo_->register_thread(tid);
-    if (raw_rot_) raw_rot_->register_thread(tid);
+    std::visit([tid](auto& cc) { cc.register_thread(tid); }, backend_);
   }
 
   /// Runs `body(auto& tx)` as one transaction on the configured backend.
@@ -116,36 +84,65 @@ class Runtime {
   /// backend transaction-handle type).
   template <typename Body>
   void execute(bool is_ro, Body&& body) {
-    if (sihtm_) {
-      sihtm_->execute(is_ro, body);
-    } else if (htm_) {
-      htm_->execute(is_ro, body);
-    } else if (p8tm_) {
-      p8tm_->execute(is_ro, body);
-    } else if (raw_rot_) {
-      raw_rot_->execute(is_ro, body);
-    } else {
-      silo_->execute(is_ro, body);
-    }
+    std::visit([is_ro, &body](auto& cc) { cc.execute(is_ro, body); },
+               backend_);
     if (cfg_.on_commit.fn != nullptr) cfg_.on_commit.fn(cfg_.on_commit.ctx, is_ro);
   }
 
   std::vector<si::util::ThreadStats>& thread_stats() {
-    if (sihtm_) return sihtm_->thread_stats();
-    if (htm_) return htm_->thread_stats();
-    if (p8tm_) return p8tm_->thread_stats();
-    if (raw_rot_) return raw_rot_->thread_stats();
-    return silo_->thread_stats();
+    return std::visit(
+        [](auto& cc) -> std::vector<si::util::ThreadStats>& {
+          return cc.thread_stats();
+        },
+        backend_);
   }
 
  private:
+  using Backends = std::variant<si::baselines::HtmSgl, si::sihtm::SiHtm,
+                                si::baselines::P8tm, si::baselines::Silo,
+                                si::baselines::RawRot>;
+
+  /// Builds the selected backend. Each return is a prvalue, so the variant
+  /// is constructed directly in `backend_`: no backend is copied or moved.
+  static Backends make_backend(const RuntimeConfig& cfg) {
+    switch (cfg.backend) {
+      case Backend::kHtm:
+        return Backends(std::in_place_type<si::baselines::HtmSgl>,
+                        si::baselines::HtmSglConfig{
+                            .htm = cfg.htm, .max_threads = cfg.max_threads,
+                            .retries = cfg.retries,
+                            .retry_budget = cfg.retry_budget,
+                            .recorder = cfg.recorder, .obs = cfg.obs});
+      case Backend::kSiHtm:
+        return Backends(std::in_place_type<si::sihtm::SiHtm>,
+                        si::sihtm::SiHtmConfig{
+                            .htm = cfg.htm, .max_threads = cfg.max_threads,
+                            .retries = cfg.retries,
+                            .retry_budget = cfg.retry_budget,
+                            .recorder = cfg.recorder, .obs = cfg.obs});
+      case Backend::kP8tm:
+        return Backends(std::in_place_type<si::baselines::P8tm>,
+                        si::baselines::P8tmConfig{
+                            .htm = cfg.htm, .max_threads = cfg.max_threads,
+                            .retries = cfg.retries,
+                            .retry_budget = cfg.retry_budget,
+                            .recorder = cfg.recorder, .obs = cfg.obs});
+      case Backend::kSilo:
+        return Backends(std::in_place_type<si::baselines::Silo>,
+                        si::baselines::SiloConfig{
+                            .max_threads = cfg.max_threads,
+                            .recorder = cfg.recorder, .obs = cfg.obs});
+      case Backend::kRawRot:
+        return Backends(std::in_place_type<si::baselines::RawRot>,
+                        si::baselines::RawRotConfig{
+                            .htm = cfg.htm, .max_threads = cfg.max_threads,
+                            .recorder = cfg.recorder, .obs = cfg.obs});
+    }
+    throw std::invalid_argument("unknown backend");
+  }
+
   RuntimeConfig cfg_;
-  Backend backend_;
-  std::unique_ptr<si::baselines::HtmSgl> htm_;
-  std::unique_ptr<si::sihtm::SiHtm> sihtm_;
-  std::unique_ptr<si::baselines::P8tm> p8tm_;
-  std::unique_ptr<si::baselines::Silo> silo_;
-  std::unique_ptr<si::baselines::RawRot> raw_rot_;
+  Backends backend_;
 };
 
 inline std::string_view to_string(Backend b) noexcept {

@@ -175,6 +175,9 @@ class Service {
     if (cfg_.durability.enabled()) {
       gc_thread_ = std::thread([this] { group_commit_loop(); });
     }
+    if (cfg_.aimd.enabled || cfg_.telemetry.enabled) {
+      epoch_prev_ = cfg_.runtime.obs.metrics->snapshot();  // before any work
+    }
     workers_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
       workers_.emplace_back([this, s] { worker_loop(s); });
@@ -260,8 +263,8 @@ class Service {
   /// performs one final flush + fsync of every shard's buffered log tail and
   /// releases every held ack before it is joined — a clean SIGTERM drain is
   /// always recoverable with zero replay loss, and every accepted request's
-  /// completion has fired by the time stop() returns (the TCP front ends
-  /// rely on that ordering: Service::stop() precedes reactor teardown).
+  /// completion has fired by the time stop() returns (the TCP front end
+  /// relies on that ordering: Service::stop() precedes reactor teardown).
   void stop() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
@@ -283,7 +286,7 @@ class Service {
     // exiting, and no thread records into the metrics any more, so this
     // record captures the tail exactly — after it, the sum of per-epoch
     // completed deltas equals ServiceCounters.completed (zero drift).
-    if (aggregator_ != nullptr) push_epoch();
+    if (aggregator_ != nullptr) push_epoch(next_window());
   }
 
   /// Last published controller state (zeros when AIMD is disabled). Exact
@@ -307,7 +310,7 @@ class Service {
 
   /// Registers a provider for the front-end columns of each epoch record
   /// (connections accepted, flushes, bytes out — cumulative totals). The
-  /// TCP front ends own those counters, so the service pulls them through
+  /// TCP front end owns those counters, so the service pulls them through
   /// this hook each tick. Call any time; the epoch thread reads it under a
   /// lock. Pass nullptr to detach (the reactor pool's stats die with it —
   /// detach before tearing the pool down).
@@ -426,26 +429,23 @@ class Service {
     return hint < floor_us ? floor_us : hint;
   }
 
-  /// Epoch thread: on each tick, diff the metrics histograms and (a) let the
-  /// AIMD controller judge the epoch and fan the watermark out to every
-  /// shard queue, (b) push an EpochRecord into the time-series ring —
-  /// whichever of the two is enabled. Snapshot reads race the recording
-  /// workers by design (obs/metrics.hpp); the saturating subtracts keep a
-  /// torn window non-negative. One thread serves both consumers so the
-  /// /series epochs line up with the controller's decisions.
+  /// Epoch thread: on each tick, take the one metrics window (next_window)
+  /// and feed it to (a) the AIMD controller, which judges the epoch and fans
+  /// the watermark out to every shard queue, and (b) the time-series
+  /// aggregator, as an EpochRecord — whichever of the two is enabled. One
+  /// thread and one window serve both consumers, so the /series epochs line
+  /// up with the controller's decisions.
   void epoch_loop() {
-    si::obs::Metrics* metrics = cfg_.runtime.obs.metrics;
     std::optional<AimdController> ctl;
     if (cfg_.aimd.enabled) {
       ctl.emplace(cfg_.aimd, queues_[0]->capacity(), queues_[0]->watermark());
     }
-    si::obs::MetricsSnapshot prev = metrics->snapshot();
     // The wakeup sum is an AIMD-only signal, and sampling it walks the
     // backend's plain per-thread counters — don't touch it on the
     // telemetry-only path.
     std::uint64_t prev_wakeups = ctl ? total_sgl_wakeups() : 0;
     // AIMD's tick wins when both are on: the controller's cadence is part of
-    // its control loop, and sharing it keeps one snapshot per epoch.
+    // its control loop.
     const auto epoch = std::chrono::microseconds(
         cfg_.aimd.enabled ? cfg_.aimd.epoch_us : cfg_.telemetry.epoch_us);
     while (!stopping_.load(std::memory_order_acquire)) {
@@ -459,20 +459,17 @@ class Service {
         left -= slice;
       }
       if (stopping_.load(std::memory_order_acquire)) break;
-      si::obs::MetricsSnapshot cur = metrics->snapshot();
+      const si::obs::MetricsSnapshot window = next_window();
       if (ctl) {
-        si::util::Histogram lat = cur.request_latency;
-        lat.subtract(prev.request_latency);
-        si::util::Histogram ret = cur.retries;
-        ret.subtract(prev.retries);
         // Third signal: this epoch's SGL futex wake-ups (serve/aimd.hpp).
         const std::uint64_t cur_wakeups = total_sgl_wakeups();
         const std::uint64_t wakeups_delta =
             cur_wakeups >= prev_wakeups ? cur_wakeups - prev_wakeups : 0;
         prev_wakeups = cur_wakeups;
-        const std::size_t wm = ctl->on_epoch(lat, ret, wakeups_delta);
+        const std::size_t wm = ctl->on_epoch(window.request_latency,
+                                             window.retries, wakeups_delta);
         for (auto& q : queues_) q->set_watermark(wm);
-        if (lat.count() > 0) {
+        if (window.request_latency.count() > 0) {
           std::uint64_t p50_us = ctl->state().last_p50_ns / 1000;
           if (p50_us == 0) p50_us = 1;
           observed_p50_us_.store(p50_us, std::memory_order_relaxed);
@@ -482,8 +479,7 @@ class Service {
           aimd_state_ = ctl->state();
         }
       }
-      if (aggregator_ != nullptr) push_epoch(&cur);
-      prev = cur;
+      if (aggregator_ != nullptr) push_epoch(window);
     }
     if (ctl) {
       std::lock_guard<std::mutex> g(aimd_mu_);
@@ -491,11 +487,24 @@ class Service {
     }
   }
 
-  /// Samples the cumulative service counters and pushes one epoch record.
-  /// Called from the epoch thread, and once more from stop() after the
-  /// workers joined (the final drain record). `cur` avoids a re-snapshot
-  /// when the caller already took one; pass nullptr to snapshot here.
-  void push_epoch(const si::obs::MetricsSnapshot* cur = nullptr) {
+  /// The one epoch delta: diffs a fresh cumulative metrics snapshot against
+  /// the previous tick's and advances that baseline. Snapshot reads race the
+  /// recording workers by design (obs/metrics.hpp); the saturating subtract
+  /// keeps a torn window non-negative. Called by the epoch thread, and once
+  /// more by stop() after joining it, so the final drain window continues
+  /// from the same baseline.
+  si::obs::MetricsSnapshot next_window() {
+    si::obs::MetricsSnapshot cur = cfg_.runtime.obs.metrics->snapshot();
+    si::obs::MetricsSnapshot window = cur;
+    window.subtract(epoch_prev_);
+    epoch_prev_ = cur;
+    return window;
+  }
+
+  /// Samples the cumulative service counters and pushes one epoch record
+  /// for `window`. Called from the epoch thread, and once more from stop()
+  /// after the workers joined (the final drain record).
+  void push_epoch(const si::obs::MetricsSnapshot& window) {
     si::obs::EpochExternals ext;
     ext.now_s =
         (si::obs::wall_ns() - start_ns_) / 1e9;
@@ -517,11 +526,7 @@ class Service {
       ext.log_fsyncs = d.fsyncs;
       ext.durable_lsn = d.durable_lsn;
     }
-    if (cur != nullptr) {
-      aggregator_->on_epoch(*cur, ext);
-    } else {
-      aggregator_->on_epoch(cfg_.runtime.obs.metrics->snapshot(), ext);
-    }
+    aggregator_->on_epoch(window, ext);
   }
 
   /// Sum of the SGL sleep wake-ups over the worker tids. Racy snapshot of
@@ -735,6 +740,8 @@ class Service {
   std::atomic<std::uint64_t> observed_p50_us_{0};
   std::unique_ptr<si::obs::TimeSeries> series_;        ///< telemetry only
   std::unique_ptr<si::obs::EpochAggregator> aggregator_;
+  /// The epoch thread's one previous snapshot (next_window()).
+  si::obs::MetricsSnapshot epoch_prev_;
   double start_ns_ = 0.0;  ///< service birth, obs::wall_ns clock
   mutable std::mutex fe_mu_;
   std::function<void(std::uint64_t*, std::uint64_t*, std::uint64_t*)>

@@ -33,7 +33,7 @@ struct TelemetrySources {
   ServiceCounters counters{};
   const AimdState* aimd = nullptr;       ///< null: AIMD disabled
   const si::obs::TimeSeries* series = nullptr;  ///< null: telemetry disabled
-  const ReactorStats* reactor = nullptr;        ///< null: text front end
+  const ReactorStats* reactor = nullptr;        ///< null: no reactor pool
   const DurabilityStats* log = nullptr;         ///< null: durability off
   std::string backend;
   int shards = 0;

@@ -37,11 +37,18 @@ void await(const std::atomic<bool>& flag) {
 TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
   si::sihtm::SiHtmConfig cfg;
   cfg.max_threads = 8;
+  // The scripted bodies below block inside their transactions until another
+  // thread's transaction has run. Under the SGL fall-back no other
+  // transaction can run, so a body that fell back would wait forever; and
+  // the readers' kills can chain past the default 10 attempts on a loaded
+  // host. Never fall back.
+  cfg.retries = 1 << 30;
   si::sihtm::SiHtm cc(cfg);
   Cell x, y;
   y.v = 10;
 
-  std::atomic<bool> t0_wrote{false}, readers_done{false};
+  std::atomic<bool> t0_wrote{false};
+  std::atomic<int> readers_left{2};
   std::uint64_t t1_saw_x = ~0ull, t2_saw_x = ~0ull;
 
   std::thread t0([&] {
@@ -54,7 +61,7 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
       // Keep t0 unfinished while t1/t2 read, like the figure's overlap. The
       // readers' accesses may kill us (single-version SI), so poll.
       si::util::Backoff b;
-      while (!readers_done.load(std::memory_order_acquire)) {
+      while (readers_left.load(std::memory_order_acquire) > 0) {
         cc.htm().check_killed();
         b.pause();
       }
@@ -64,12 +71,13 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
     cc.register_thread(1);
     await(t0_wrote);
     cc.execute(true, [&](auto& tx) { t1_saw_x = tx.read(&x.v); });
+    readers_left.fetch_sub(1, std::memory_order_release);
   });
   std::thread t2([&] {
     cc.register_thread(2);
     await(t0_wrote);
     cc.execute(true, [&](auto& tx) { t2_saw_x = tx.read(&x.v); });
-    readers_done.store(true, std::memory_order_release);
+    readers_left.fetch_sub(1, std::memory_order_release);
   });
   t1.join();
   t2.join();

@@ -161,6 +161,16 @@ TEST(EpochAggregatorTest, ScriptedSequenceDiffsCumulatives) {
 
   si::obs::Metrics m(1);
   EpochExternals ext;
+  // The epoch owner's half of the contract (serve/service.hpp): one previous
+  // snapshot, one metrics window per tick.
+  MetricsSnapshot prev;
+  auto window = [&] {
+    const MetricsSnapshot cur = m.snapshot();
+    MetricsSnapshot w = cur;
+    w.subtract(prev);
+    prev = cur;
+    return w;
+  };
 
   // Epoch 0: 10 requests completed, 10 commits, 2 conflict aborts.
   for (int i = 0; i < 10; ++i) m.of(0).request_latency.record(1000);
@@ -171,7 +181,7 @@ TEST(EpochAggregatorTest, ScriptedSequenceDiffsCumulatives) {
   ext.accepted = 12;
   ext.rejected = 2;
   ext.watermark = 64;
-  const auto r0 = agg.on_epoch(m.snapshot(), ext);
+  const auto r0 = agg.on_epoch(window(), ext);
   EXPECT_EQ(r0.seq, 0u);
   EXPECT_DOUBLE_EQ(r0.dt_s, 1.0);
   EXPECT_EQ(r0.completed, 10u);
@@ -189,7 +199,7 @@ TEST(EpochAggregatorTest, ScriptedSequenceDiffsCumulatives) {
   ext.now_s = 1.5;
   ext.completed = 15;
   ext.accepted = 17;
-  const auto r1 = agg.on_epoch(m.snapshot(), ext);
+  const auto r1 = agg.on_epoch(window(), ext);
   EXPECT_EQ(r1.seq, 1u);
   EXPECT_DOUBLE_EQ(r1.dt_s, 0.5);
   EXPECT_EQ(r1.completed, 5u);
@@ -202,7 +212,7 @@ TEST(EpochAggregatorTest, ScriptedSequenceDiffsCumulatives) {
 
   // Epoch 2: idle tick — all deltas zero, quantiles zero on an empty window.
   ext.now_s = 2.0;
-  const auto r2 = agg.on_epoch(m.snapshot(), ext);
+  const auto r2 = agg.on_epoch(window(), ext);
   EXPECT_EQ(r2.completed, 0u);
   EXPECT_EQ(r2.commits, 0u);
   EXPECT_EQ(r2.req_p50_ns, 0u);
