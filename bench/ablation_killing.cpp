@@ -18,7 +18,9 @@ si::util::RunStats run_policy(const si::tpcc::DbConfig& dcfg, int threads,
   si::sim::SimMachineConfig mcfg;
   si::sim::SimEngine eng(mcfg, threads);
   si::tpcc::Workload w(dcfg, si::tpcc::Mix::standard(), threads);
-  si::sim::SimSiHtm cc(eng, /*retries=*/10, kill_after_ns);
+  using si::protocol::SimSubstrate;
+  si::protocol::Machine<si::protocol::SiHtmCore<SimSubstrate>, SimSubstrate> cc(
+      eng, {.straggler_kill_after_ns = kill_after_ns});
   return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
 }
 

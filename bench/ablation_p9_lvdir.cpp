@@ -19,12 +19,13 @@ si::util::RunStats run_machine(const si::sim::SimMachineConfig& mcfg,
                                int threads, double virtual_ns, bool si_htm) {
   si::sim::SimEngine eng(mcfg, threads);
   si::hashmap::Workload w(wcfg, threads);
-  if (si_htm) {
-    si::sim::SimSiHtm cc(eng);
-    return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
-  }
-  si::sim::SimHtmSgl cc(eng);
-  return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      si_htm ? si::runtime::Backend::kSiHtm : si::runtime::Backend::kHtm, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+  return std::visit(
+      [&](auto& cc) {
+        return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
+      },
+      machine);
 }
 
 }  // namespace

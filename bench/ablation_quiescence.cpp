@@ -2,7 +2,7 @@
 //
 // Compares SI-HTM against the UNSAFE shared raw-ROT core (SI-HTM with the
 // safety wait compiled out — protocol/sihtm_core.hpp, SafetyWait=false; here
-// driven through si::sim::SimRawRot). The raw-ROT variant admits the Fig. 3
+// built by make_machine as Backend::kRawRot). The raw-ROT variant admits the Fig. 3
 // snapshot anomalies (it is NOT a correct SI implementation — it exists only
 // to price the quiescence phase), so the gap between the two curves is the
 // paper's "real performance cost of the quiescence phase" (section 4, last
@@ -15,14 +15,19 @@
 
 namespace {
 
-template <typename Backend>
-si::util::RunStats run_with(const si::hashmap::WorkloadConfig& wcfg, int threads,
+si::util::RunStats run_with(si::runtime::Backend backend,
+                            const si::hashmap::WorkloadConfig& wcfg, int threads,
                             double virtual_ns) {
   si::sim::SimMachineConfig mcfg;
   si::sim::SimEngine eng(mcfg, threads);
   si::hashmap::Workload w(wcfg, threads);
-  Backend cc(eng);
-  return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+  return std::visit(
+      [&](auto& cc) {
+        return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
+      },
+      machine);
 }
 
 }  // namespace
@@ -41,9 +46,9 @@ int main(int argc, char** argv) {
   for (const bool with_wait : {true, false}) {
     std::vector<si::util::SeriesPoint> points;
     for (int n : sweep.threads) {
-      const auto stats =
-          with_wait ? run_with<si::sim::SimSiHtm>(wcfg, n, sweep.virtual_ns)
-                    : run_with<si::sim::SimRawRot>(wcfg, n, sweep.virtual_ns);
+      const auto stats = run_with(with_wait ? si::runtime::Backend::kSiHtm
+                                            : si::runtime::Backend::kRawRot,
+                                  wcfg, n, sweep.virtual_ns);
       points.push_back({n, stats});
       si::bench::progress_dot();
     }

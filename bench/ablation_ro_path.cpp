@@ -11,28 +11,34 @@
 
 namespace {
 
+using SiHtm = si::protocol::Machine<
+    si::protocol::SiHtmCore<si::protocol::SimSubstrate>,
+    si::protocol::SimSubstrate>;
+
 /// Adapter that hides the RO flag from SI-HTM.
-class NoRoPath {
- public:
-  explicit NoRoPath(si::sim::SimEngine& eng) : inner_(eng) {}
+struct NoRoPath {
+  SiHtm& inner;
   template <typename Body>
   void execute(bool /*is_ro*/, Body&& body) {
-    inner_.execute(false, std::forward<Body>(body));
+    inner.execute(false, std::forward<Body>(body));
   }
-  std::vector<si::util::ThreadStats>& thread_stats() { return inner_.thread_stats(); }
-
- private:
-  si::sim::SimSiHtm inner_;
 };
 
-template <typename Backend>
-si::util::RunStats run_with(const si::hashmap::WorkloadConfig& wcfg, int threads,
+si::util::RunStats run_with(bool ro_path,
+                            const si::hashmap::WorkloadConfig& wcfg, int threads,
                             double virtual_ns) {
   si::sim::SimMachineConfig mcfg;
   si::sim::SimEngine eng(mcfg, threads);
   si::hashmap::Workload w(wcfg, threads);
-  Backend cc(eng);
-  return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });
+  SiHtm cc(eng);
+  NoRoPath no_ro{cc};
+  return eng.run(virtual_ns, [&](int tid) {
+    if (ro_path) {
+      w.step(cc, tid);
+    } else {
+      w.step(no_ro, tid);
+    }
+  });
 }
 
 }  // namespace
@@ -51,9 +57,7 @@ int main(int argc, char** argv) {
   for (const bool ro_path : {true, false}) {
     std::vector<si::util::SeriesPoint> points;
     for (int n : sweep.threads) {
-      const auto stats = ro_path
-                             ? run_with<si::sim::SimSiHtm>(wcfg, n, sweep.virtual_ns)
-                             : run_with<NoRoPath>(wcfg, n, sweep.virtual_ns);
+      const auto stats = run_with(ro_path, wcfg, n, sweep.virtual_ns);
       points.push_back({n, stats});
       si::bench::progress_dot();
     }

@@ -50,7 +50,10 @@
 #include "obs/metrics.hpp"
 #include "serve/kv_app.hpp"
 #include "serve/service.hpp"
-#include "sim/backends.hpp"
+#include "protocol/htm_sgl_core.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"
@@ -234,19 +237,22 @@ si::util::RunStats run_leg(Leg leg, int threads, double virtual_ns,
   auto drive = [&](auto& cc) {
     return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
   };
+  using si::protocol::Machine;
+  using si::protocol::SimSubstrate;
+  using SiHtm = Machine<si::protocol::SiHtmCore<SimSubstrate>, SimSubstrate>;
   switch (leg) {
     case Leg::kSiHtmSlim: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, {}, si::util::SglImpl::kSlim,
-                           /*sgl_shared_ro=*/true);
+      SiHtm cc(eng, {.sgl_impl = si::util::SglImpl::kSlim});
       return drive(cc);
     }
     case Leg::kSiHtmTtas: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, {}, si::util::SglImpl::kTtas,
-                           /*sgl_shared_ro=*/false);
+      SiHtm cc(eng, {.sgl_impl = si::util::SglImpl::kTtas,
+                     .sgl_shared_ro = false});
       return drive(cc);
     }
     case Leg::kHtmSgl: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, {}, si::util::SglImpl::kSlim);
+      Machine<si::protocol::HtmSglCore<SimSubstrate>, SimSubstrate> cc(
+          eng, {.sgl_impl = si::util::SglImpl::kSlim});
       return drive(cc);
     }
   }

@@ -10,11 +10,12 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/silo.hpp"
 #include "bench/common.hpp"
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
-#include "sim/backends.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/silo_core.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
 #include "util/rng.hpp"
@@ -24,6 +25,12 @@ namespace {
 struct alignas(si::util::kLineSize) Cell {
   std::uint64_t v = 0;
 };
+
+using si::protocol::RealSubstrate;
+using SiHtm = si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>,
+                                    RealSubstrate>;
+using Silo =
+    si::protocol::Machine<si::protocol::SiloCore<RealSubstrate>, RealSubstrate>;
 
 /// Publishes the run's owned-line fast-path counters as user counters,
 /// `fast_path_hit_rate` being the headline one. Callers reset the counters
@@ -176,7 +183,7 @@ void BM_PlainLoad(benchmark::State& state) {
 BENCHMARK(BM_PlainLoad);
 
 void BM_SiHtmExecuteReadOnly(benchmark::State& state) {
-  si::sihtm::SiHtm cc;
+  SiHtm cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {
@@ -188,7 +195,7 @@ void BM_SiHtmExecuteReadOnly(benchmark::State& state) {
 BENCHMARK(BM_SiHtmExecuteReadOnly);
 
 void BM_SiHtmExecuteUpdate(benchmark::State& state) {
-  si::sihtm::SiHtm cc;
+  SiHtm cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {
@@ -198,7 +205,7 @@ void BM_SiHtmExecuteUpdate(benchmark::State& state) {
 BENCHMARK(BM_SiHtmExecuteUpdate);
 
 void BM_SiloExecuteUpdate(benchmark::State& state) {
-  si::baselines::Silo cc;
+  Silo cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {

@@ -16,13 +16,15 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sim/backends.hpp"
+#include "protocol/sim_substrate.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -43,23 +45,11 @@ inline constexpr const char* kBuildType = SI_BUILD_TYPE;
 inline constexpr const char* kBuildType = "unknown";
 #endif
 
-enum class System { kHtm, kSiHtm, kP8tm, kSilo };
-
 /// Interactive progress marker; suppressed when stderr is redirected so
 /// captured bench output stays clean.
 inline void progress_dot(char c = '.') {
   static const bool tty = isatty(2) != 0;
   if (tty) std::fputc(c, stderr);
-}
-
-inline const char* name_of(System s) {
-  switch (s) {
-    case System::kHtm: return "HTM";
-    case System::kSiHtm: return "SI-HTM";
-    case System::kP8tm: return "P8TM";
-    case System::kSilo: return "Silo";
-  }
-  return "?";
 }
 
 struct Sweep {
@@ -129,12 +119,12 @@ class JsonSink {
     if (enabled()) records_.push_back(std::move(rec));
   }
 
-  void add(const std::string& point, System system, int threads,
-           const si::util::RunStats& rs,
+  void add(const std::string& point, si::runtime::Backend system,
+           int threads, const si::util::RunStats& rs,
            const si::obs::MetricsSnapshot* m = nullptr) {
     if (!enabled()) return;
     BenchRecord rec;
-    rec.system = name_of(system);
+    rec.system = to_string(system);
     rec.point = point;
     rec.threads = threads;
     rec.throughput = rs.throughput();
@@ -263,34 +253,19 @@ class JsonSink {
 /// attaches tracing/metrics sinks; the hooks never advance virtual time, so
 /// the simulated results are identical with and without them.
 template <typename MakeWorkload>
-si::util::RunStats run_point(System system, int threads, double virtual_ns,
-                             MakeWorkload&& make_workload,
+si::util::RunStats run_point(si::runtime::Backend system, int threads,
+                             double virtual_ns, MakeWorkload&& make_workload,
                              si::obs::ObsConfig obs = {}) {
   si::sim::SimMachineConfig mcfg;  // the paper's machine: 10 cores, SMT-8
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
-  auto drive = [&](auto& cc) {
-    return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
-  };
-  switch (system) {
-    case System::kHtm: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kP8tm: {
-      si::sim::SimP8tm cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kSilo: {
-      si::sim::SimSilo cc(eng, nullptr, obs);
-      return drive(cc);
-    }
-  }
-  return {};
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      system, 10, {}, eng, si::protocol::SimSubstrateConfig{.obs = obs});
+  return std::visit(
+      [&](auto& cc) {
+        return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
+      },
+      machine);
 }
 
 /// Full panel: every system over the sweep; prints the paper-style block.
@@ -302,12 +277,13 @@ si::util::RunStats run_point(System system, int threads, double virtual_ns,
 /// writes a Chrome trace; each point overwrites it, so the file ends up
 /// holding the panel's last (system, threads) point.
 template <typename MakeWorkload>
-void run_panel(const std::string& title, const std::vector<System>& systems,
+void run_panel(const std::string& title,
+               const std::vector<si::runtime::Backend>& systems,
                const Sweep& sweep, double tx_scale, MakeWorkload&& make_workload,
                JsonSink* sink = nullptr, const std::string& trace_path = {}) {
   std::printf("== %s ==\n", title.c_str());
   const bool want_obs = (sink && sink->enabled()) || !trace_path.empty();
-  for (System system : systems) {
+  for (si::runtime::Backend system : systems) {
     std::vector<si::util::SeriesPoint> points;
     for (int n : sweep.threads) {
       if (want_obs) {
@@ -323,7 +299,7 @@ void run_panel(const std::string& title, const std::vector<System>& systems,
           std::ofstream os(trace_path);
           if (os) {
             si::obs::write_chrome_trace(os, tracer,
-                                        std::string(name_of(system)) + " " +
+                                        std::string(to_string(system)) + " " +
                                             std::to_string(n) + "t");
           } else {
             std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
@@ -336,7 +312,7 @@ void run_panel(const std::string& title, const std::vector<System>& systems,
       }
       progress_dot();
     }
-    si::util::print_series(std::cout, name_of(system), points, tx_scale);
+    si::util::print_series(std::cout, to_string(system), points, tx_scale);
   }
   progress_dot('\n');
   std::printf("\n");

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   const auto sweep = si::bench::Sweep::from_cli(cli);
   auto sink = si::bench::JsonSink::from_cli(cli, "fig6_hashmap_large_ro");
-  const std::vector<si::bench::System> systems = {si::bench::System::kHtm,
-                                                  si::bench::System::kSiHtm};
+  const std::vector<si::runtime::Backend> systems = {
+      si::runtime::Backend::kHtm, si::runtime::Backend::kSiHtm};
 
   const int zoo = si::bench::run_struct_panels(
       cli, "Fig.6", systems, sweep, /*avg_chain=*/200, /*ro_pct=*/90, &sink);

@@ -23,7 +23,7 @@ namespace si::bench {
 /// `-struct` and returns the process exit code; returns -1 when the flag is
 /// absent or "hashmap", i.e. the caller should run its original workload.
 inline int run_struct_panels(si::util::Cli& cli, const std::string& fig,
-                             const std::vector<System>& systems,
+                             const std::vector<si::runtime::Backend>& systems,
                              const Sweep& sweep, std::size_t avg_chain,
                              unsigned ro_pct, JsonSink* sink) {
   const std::string name = cli.get("struct", "hashmap");

@@ -1,7 +1,7 @@
 // A concurrent key-value store built on the transactional hash map, runnable
 // on any of the four concurrency controls.
 //
-//   ./examples/kv_store -backend si-htm -threads 8 -seconds 2 -ro 90 \
+//   ./examples/kv_store -backend si-htm -threads 8 -seconds 2 -ro 90
 //                       -buckets 1000 -chain 50
 //
 // Prints throughput and the paper-style abort breakdown, so this example

@@ -1,4 +1,4 @@
-// Quickstart: the SI-HTM public API in ~60 lines.
+// Quickstart: the runtime API in ~60 lines.
 //
 // Builds a tiny bank, runs concurrent transfer transactions plus read-only
 // audits on the SI-HTM runtime, and prints the statistics. Under snapshot
@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
+#include "runtime/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
   constexpr int kAccounts = 64;
   constexpr std::uint64_t kInitial = 1000;
 
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = n_threads;
-  si::sihtm::SiHtm runtime(cfg);
+  si::runtime::Runtime runtime(
+      {.backend = si::runtime::Backend::kSiHtm, .max_threads = n_threads});
 
   std::vector<Account> accounts(kAccounts);
   for (auto& a : accounts) a.balance = kInitial;

@@ -13,9 +13,11 @@
 #include <cstdio>
 #include <thread>
 
-#include "baselines/silo.hpp"
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
 
 namespace {
@@ -65,9 +67,9 @@ void demo_raw_rot_anomaly() {
 /// The same interleaving under SI-HTM: the writer's safety wait holds its
 /// commit until the reader finishes (or dies trying).
 void demo_sihtm_prevents_it() {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 4;
-  si::sihtm::SiHtm cc(cfg);
+  using si::protocol::RealSubstrate;
+  si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>
+      cc({.max_threads = 4});
   Cell x;
   std::uint64_t first = 0, second = 0;
   std::atomic<bool> reader_in{false};
@@ -78,7 +80,9 @@ void demo_sihtm_prevents_it() {
       first = tx.read(&x.v);
       reader_in.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.state_of(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::protocol::kStateCompleted) {
+        b.pause();
+      }
       second = tx.read(&x.v);
     });
   });
@@ -139,24 +143,21 @@ int main() {
   demo_raw_rot_anomaly();
   demo_sihtm_prevents_it();
 
+  using si::runtime::Backend;
   {
-    si::sihtm::SiHtmConfig cfg;
-    cfg.max_threads = 4;
-    si::sihtm::SiHtm cc(cfg);
+    si::runtime::Runtime cc({.backend = Backend::kSiHtm, .max_threads = 4});
     const int on_call = doctors_on_call(cc, /*promote_reads=*/false);
     std::printf("3. SI-HTM write skew:           %d doctor(s) left on call"
                 "   <- SI allows the skew\n", on_call);
   }
   {
-    si::sihtm::SiHtmConfig cfg;
-    cfg.max_threads = 4;
-    si::sihtm::SiHtm cc(cfg);
+    si::runtime::Runtime cc({.backend = Backend::kSiHtm, .max_threads = 4});
     const int on_call = doctors_on_call(cc, /*promote_reads=*/true);
     std::printf("4. SI-HTM + read promotion:     %d doctor(s) left on call"
                 "   <- promoted reads conflict\n", on_call);
   }
   {
-    si::baselines::Silo cc;
+    si::runtime::Runtime cc({.backend = Backend::kSilo});
     const int on_call = doctors_on_call(cc, /*promote_reads=*/false);
     std::printf("5. Silo (serializable):         %d doctor(s) left on call"
                 "   <- validation catches it\n", on_call);

@@ -2,17 +2,20 @@
 // POWER8 for a chosen workload and backend, printing a throughput/abort
 // curve. This is the interactive companion of the bench/ figure harnesses.
 //
-//   ./examples/sim_explorer -workload hashmap -backend si-htm \
+//   ./examples/sim_explorer -workload hashmap -backend si-htm
 //       -threads 1,2,4,8,16,32,40,80 -ms 2 -buckets 1000 -chain 200 -ro 90
 //   ./examples/sim_explorer -workload tpcc -backend htm -warehouses 1
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "hashmap/workload.hpp"
-#include "sim/backends.hpp"
+#include "protocol/sim_substrate.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
 #include "tpcc/workload.hpp"
 #include "util/cli.hpp"
@@ -21,33 +24,19 @@
 namespace {
 
 template <typename MakeWorkload>
-si::util::RunStats run_point(const std::string& backend, int threads,
+si::util::RunStats run_point(si::runtime::Backend backend, int threads,
                              double duration_ns, MakeWorkload&& make_workload) {
   si::sim::SimMachineConfig mcfg;
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
-
-  auto drive = [&](auto& cc) {
-    return eng.run(duration_ns, [&](int tid) { workload->step(cc, tid); });
-  };
-  if (backend == "si-htm") {
-    si::sim::SimSiHtm cc(eng);
-    return drive(cc);
-  }
-  if (backend == "htm") {
-    si::sim::SimHtmSgl cc(eng);
-    return drive(cc);
-  }
-  if (backend == "p8tm") {
-    si::sim::SimP8tm cc(eng);
-    return drive(cc);
-  }
-  if (backend == "silo") {
-    si::sim::SimSilo cc(eng);
-    return drive(cc);
-  }
-  std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
-  std::exit(1);
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+  return std::visit(
+      [&](auto& cc) {
+        return eng.run(duration_ns,
+                       [&](int tid) { workload->step(cc, tid); });
+      },
+      machine);
 }
 
 }  // namespace
@@ -56,7 +45,7 @@ int main(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: %s [-workload hashmap|tpcc] [-backend htm|si-htm|p8tm|silo]\n"
+        "usage: %s [-workload hashmap|tpcc] [-backend htm|si-htm|p8tm|silo|raw-rot]\n"
         "          [-threads 1,2,4,...] [-ms VIRTUAL_MILLIS]\n"
         "          hashmap: [-buckets N] [-chain N] [-ro PCT]\n"
         "          tpcc:    [-warehouses W] [-mix standard|read-dominated]\n",
@@ -64,7 +53,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string workload = cli.get("workload", "hashmap");
-  const std::string backend = cli.get("backend", "si-htm");
+  const std::string name = cli.get("backend", "si-htm");
+  si::runtime::Backend backend;
+  try {
+    backend = si::runtime::backend_from_string(name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   const auto thread_counts =
       si::util::parse_int_list(cli.get("threads"), {1, 2, 4, 8, 16, 32, 40, 80});
   const double duration_ns = cli.get_double("ms", 2.0) * 1e6;
@@ -100,6 +96,6 @@ int main(int argc, char** argv) {
 
   std::printf("sim_explorer: workload=%s on the modelled 10-core SMT-8 POWER8\n",
               workload.c_str());
-  si::util::print_series(std::cout, backend, points, 1e6);
+  si::util::print_series(std::cout, name, points, 1e6);
   return 0;
 }

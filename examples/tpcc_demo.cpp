@@ -1,7 +1,7 @@
 // TPC-C on any backend: loads a scaled database, runs a transaction mix for
 // a while, and verifies the TPC-C consistency conditions afterwards.
 //
-//   ./examples/tpcc_demo -backend si-htm -threads 8 -seconds 2 \
+//   ./examples/tpcc_demo -backend si-htm -threads 8 -seconds 2
 //                        -warehouses 4 -mix standard|read-dominated
 #include <chrono>
 #include <cstdio>

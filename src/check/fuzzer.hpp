@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "check/history.hpp"
@@ -32,37 +33,13 @@
 #include "maps/btree.hpp"
 #include "maps/maps.hpp"
 #include "maps/skiplist.hpp"
-#include "sim/backends.hpp"
+#include "protocol/sim_substrate.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
 #include "util/rng.hpp"
 
 namespace si::check {
-
-/// Simulated backends the fuzzer can drive. kRawRot is SI-HTM minus the
-/// safety wait (the UNSAFE ablation of bench/ablation_quiescence.cpp) — it
-/// exists so tests can assert the checker *catches* the resulting anomalies.
-enum class FuzzBackend { kSiHtm, kHtmSgl, kSilo, kP8tm, kRawRot };
-
-inline std::string_view to_string(FuzzBackend b) noexcept {
-  switch (b) {
-    case FuzzBackend::kSiHtm: return "si-htm";
-    case FuzzBackend::kHtmSgl: return "htm";
-    case FuzzBackend::kSilo: return "silo";
-    case FuzzBackend::kP8tm: return "p8tm";
-    case FuzzBackend::kRawRot: return "raw-rot";
-  }
-  return "?";
-}
-
-inline FuzzBackend fuzz_backend_from_string(std::string_view name) {
-  if (name == "si-htm" || name == "sihtm") return FuzzBackend::kSiHtm;
-  if (name == "htm" || name == "htm-sgl") return FuzzBackend::kHtmSgl;
-  if (name == "silo") return FuzzBackend::kSilo;
-  if (name == "p8tm") return FuzzBackend::kP8tm;
-  if (name == "raw-rot" || name == "rawrot") return FuzzBackend::kRawRot;
-  throw std::invalid_argument("unknown fuzz backend: " + std::string(name));
-}
 
 /// Which workload a schedule drives: the classic ledger + notepad, or one of
 /// the concurrent-map structures (src/maps/) hammered through the same
@@ -89,7 +66,10 @@ inline FuzzStruct fuzz_struct_from_string(std::string_view name) {
 }
 
 struct FuzzConfig {
-  FuzzBackend backend = FuzzBackend::kSiHtm;
+  /// Any simulated backend. kRawRot is SI-HTM minus the safety wait (the
+  /// UNSAFE ablation of bench/ablation_quiescence.cpp): tests drive it to
+  /// assert the checker *catches* the resulting anomalies.
+  si::runtime::Backend backend = si::runtime::Backend::kSiHtm;
   FuzzStruct structure = FuzzStruct::kLedger;
   int threads = 4;
   int map_elements = 32;             ///< map structs: keys pre-seeded
@@ -372,36 +352,16 @@ inline ScheduleReport run_schedule_with(const FuzzConfig& cfg,
   Workload w(cfg, seed);
   w.record_init(rec);
 
-  auto drive = [&](auto& cc) {
-    eng.run(cfg.virtual_ns, [&](int tid) { w.step(cc, tid); });
-  };
-  switch (cfg.backend) {
-    case FuzzBackend::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, cfg.retries, cfg.straggler_kill_after_ns, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kHtmSgl: {
-      si::sim::SimHtmSgl cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kSilo: {
-      si::sim::SimSilo cc(eng, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kP8tm: {
-      si::sim::SimP8tm cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kRawRot: {
-      si::sim::SimRawRot cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-  }
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      cfg.backend, cfg.retries, {}, eng,
+      si::protocol::SimSubstrateConfig{
+          .straggler_kill_after_ns = cfg.straggler_kill_after_ns,
+          .recorder = &rec});
+  std::visit(
+      [&](auto& cc) {
+        eng.run(cfg.virtual_ns, [&](int tid) { w.step(cc, tid); });
+      },
+      machine);
 
   ScheduleReport r;
   r.seed = seed;

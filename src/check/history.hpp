@@ -9,9 +9,9 @@
 // (check/verify.hpp) replays the log and decides whether the history is
 // admissible under Snapshot Isolation.
 //
-// The recorder is attached to a backend through its config (real-thread
-// backends: SiHtmConfig/HtmSglConfig/P8tmConfig/SiloConfig/RuntimeConfig) or
-// constructor (sim backends); a null pointer means recording is off and the
+// The recorder is attached to a backend through its substrate config
+// (RealSubstrateConfig / SimSubstrateConfig::recorder, or
+// RuntimeConfig::recorder); a null pointer means recording is off and the
 // hooks cost a single predictable branch.
 //
 // Ordering guarantee: inside the deterministic simulator every hook runs

@@ -29,6 +29,8 @@ struct HtmSglCoreConfig {
 template <Substrate S>
 class HtmSglCore {
  public:
+  using Config = HtmSglCoreConfig;
+
   /// Access handle for one attempt (hardware path or SGL path).
   class Tx {
    public:

@@ -18,8 +18,8 @@
 #include "check/history.hpp"
 #include "p8htm/htm.hpp"
 #include "p8htm/topology.hpp"
+#include "protocol/state_table.hpp"
 #include "protocol/substrate.hpp"
-#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 #include "util/logical_clock.hpp"
@@ -62,6 +62,11 @@ struct RealSubstrateConfig {
 
 class RealSubstrate {
  public:
+  using Config = RealSubstrateConfig;
+
+  /// Spins an optimistic read (Silo) waits on a locked line before aborting.
+  static constexpr int kLockedReadSpins = 1024;
+
   explicit RealSubstrate(RealSubstrateConfig cfg = {})
       : cfg_(cfg),
         rt_(cfg.htm),
@@ -163,7 +168,7 @@ class RealSubstrate {
     void tick() noexcept { ++st.wait_cycles; }
     void poll() noexcept { backoff.pause(); }
   };
-  WaitScope wait_scope(si::util::ThreadStats& st) { return {st}; }
+  WaitScope wait_scope(si::util::ThreadStats& st) { return {st, {}}; }
 
   struct DrainScope {
     si::util::ThreadStats& st;
@@ -174,7 +179,7 @@ class RealSubstrate {
       backoff.pause();
     }
   };
-  DrainScope drain_scope(si::util::ThreadStats& st) { return {st}; }
+  DrainScope drain_scope(si::util::ThreadStats& st) { return {st, {}}; }
 
   struct StragglerGuard {
     std::uint64_t threshold;
@@ -290,7 +295,7 @@ class RealSubstrate {
 
   RealSubstrateConfig cfg_;
   si::p8::HtmRuntime rt_;
-  si::sihtm::StateTable state_;
+  StateTable state_;
   si::util::OwnedGlobalLock gl_;
   std::vector<SharedFlag> gl_shared_by_;
   si::util::LogicalClock clock_;

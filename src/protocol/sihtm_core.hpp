@@ -41,6 +41,8 @@ struct SiHtmCoreConfig {
 template <Substrate S, bool SafetyWait = true>
 class SiHtmCore {
  public:
+  using Config = SiHtmCoreConfig;
+
   /// Per-attempt handle passed to transaction bodies; routes accesses to the
   /// path the attempt is running on (ROT / read-only / SGL).
   class Tx {

@@ -54,6 +54,13 @@ struct SimSubstrateConfig {
 
 class SimSubstrate {
  public:
+  using Config = SimSubstrateConfig;
+
+  /// Spins an optimistic read (Silo) waits on a locked line before aborting.
+  /// Each spin costs a full quiesce_poll of virtual time, so the bound is
+  /// far tighter than RealSubstrate's; seeded schedules depend on it.
+  static constexpr int kLockedReadSpins = 64;
+
   explicit SimSubstrate(si::sim::SimEngine& eng, SimSubstrateConfig cfg = {})
       : eng_(eng),
         cfg_(cfg),
@@ -304,6 +311,9 @@ class SimSubstrate {
   void charge_write_buffer() { eng_.wait(lat().mem_access); }
 
   si::sim::SimEngine& engine() noexcept { return eng_; }
+  std::vector<si::util::ThreadStats>& thread_stats() {
+    return eng_.thread_stats();
+  }
 
  private:
   const si::sim::SimLatencies& lat() const { return eng_.config().lat; }

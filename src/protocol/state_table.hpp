@@ -15,12 +15,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "protocol/substrate.hpp"
 #include "util/cacheline.hpp"
 
-namespace si::sihtm {
-
-inline constexpr std::uint64_t kInactive = 0;
-inline constexpr std::uint64_t kCompleted = 1;
+namespace si::protocol {
 
 class StateTable {
  public:
@@ -44,11 +42,11 @@ class StateTable {
 
  private:
   struct alignas(si::util::kLineSize) Slot {
-    std::atomic<std::uint64_t> v{kInactive};
+    std::atomic<std::uint64_t> v{kStateInactive};
   };
 
   int n_;
   std::unique_ptr<Slot[]> slots_;
 };
 
-}  // namespace si::sihtm
+}  // namespace si::protocol

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "util/stats.hpp"
 
 namespace si::runtime {
@@ -19,16 +20,19 @@ namespace si::runtime {
 /// HTM emulation's fast-path telemetry, and any attached obs metrics sink
 /// (latency histograms + abort taxonomy). Without this, a warm-up phase's
 /// hits and aborts leak into the measured phase. Backends without the
-/// respective accessor (Silo, sim glue) skip that piece.
+/// respective accessor skip that piece: a Runtime exposes only its config,
+/// a protocol::Machine its substrate (emulation + config).
 template <typename CC>
 void reset_phase_counters(CC& cc) {
   for (auto& st : cc.thread_stats()) st = si::util::ThreadStats{};
-  if constexpr (requires { cc.htm().reset_fast_path_stats(); }) {
-    cc.htm().reset_fast_path_stats();
+  const si::obs::ObsConfig* obs = nullptr;
+  if constexpr (requires { cc.substrate().htm().reset_fast_path_stats(); }) {
+    cc.substrate().htm().reset_fast_path_stats();
+    obs = &cc.substrate().config().obs;
+  } else if constexpr (requires { cc.config().obs; }) {
+    obs = &cc.config().obs;
   }
-  if constexpr (requires { cc.config().obs.metrics; }) {
-    if (cc.config().obs.metrics != nullptr) cc.config().obs.metrics->reset();
-  }
+  if (obs != nullptr && obs->metrics != nullptr) obs->metrics->reset();
 }
 
 /// Context handed to each worker: its thread id and the shared stop flag

@@ -45,12 +45,35 @@ class Fiber {
  private:
   static void trampoline(unsigned hi, unsigned lo);
 
+  /// AddressSanitizer bookkeeping for the two swapcontext switches
+  /// (fiber.cpp): the fiber's stack and its fake stack while switched out,
+  /// and the bounds of the scheduler stack it returns to. Empty without
+  /// ASan, so the Fiber keeps its size — and the seeded simulations the
+  /// heap layout they were recorded on.
+  struct AsanState {
+#if defined(__SANITIZE_ADDRESS__)
+    const void* stack = nullptr;
+    std::size_t stack_bytes = 0;
+    void* fake_stack = nullptr;
+    const void* sched_stack = nullptr;
+    std::size_t sched_stack_bytes = 0;
+#endif
+    /// Scheduler side, around resume()'s switch into the fiber.
+    void enter(void** sched_fake_stack) const;
+    static void back_on_scheduler(void* sched_fake_stack);
+    /// Fiber side: after every switch in, before every switch out. The
+    /// final switch out (`last`) releases the fiber's fake stack.
+    void arrived();
+    void leave(bool last);
+  };
+
   Entry entry_;
   std::unique_ptr<unsigned char[]> stack_;
   ucontext_t context_{};
   ucontext_t return_context_{};
   bool started_ = false;
   bool finished_ = false;
+  [[no_unique_address]] AsanState asan_;
 };
 
 }  // namespace si::sim

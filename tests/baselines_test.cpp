@@ -7,10 +7,12 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/htm_sgl.hpp"
-#include "baselines/p8tm.hpp"
-#include "baselines/silo.hpp"
-#include "baselines/version_table.hpp"
+#include "protocol/htm_sgl_core.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/p8tm_core.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/silo_core.hpp"
+#include "protocol/version_table.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
@@ -25,6 +27,12 @@ struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
 };
 
+using si::protocol::Machine;
+using si::protocol::RealSubstrate;
+using HtmSgl = Machine<si::protocol::HtmSglCore<RealSubstrate>, RealSubstrate>;
+using P8tm = Machine<si::protocol::P8tmCore<RealSubstrate>, RealSubstrate>;
+using Silo = Machine<si::protocol::SiloCore<RealSubstrate>, RealSubstrate>;
+
 void await(const std::atomic<bool>& flag) {
   si::util::Backoff b;
   while (!flag.load(std::memory_order_acquire)) b.pause();
@@ -33,7 +41,7 @@ void await(const std::atomic<bool>& flag) {
 // --- VersionTable ------------------------------------------------------------
 
 TEST(VersionTableTest, LockUnlockBump) {
-  si::baselines::VersionTable vt(8);
+  si::protocol::VersionTable vt(8);
   const si::util::LineId line = 99;
   const auto v0 = vt.read_stable(line);
   ASSERT_TRUE(vt.try_lock(line));
@@ -45,7 +53,7 @@ TEST(VersionTableTest, LockUnlockBump) {
 }
 
 TEST(VersionTableTest, UnlockWithoutBumpKeepsVersion) {
-  si::baselines::VersionTable vt(8);
+  si::protocol::VersionTable vt(8);
   const auto v0 = vt.read_stable(5);
   ASSERT_TRUE(vt.try_lock(5));
   vt.unlock(5, /*bump=*/false);
@@ -55,7 +63,7 @@ TEST(VersionTableTest, UnlockWithoutBumpKeepsVersion) {
 // --- HTM + SGL ---------------------------------------------------------------
 
 TEST(HtmSglTest, CommitsSimpleTx) {
-  si::baselines::HtmSgl cc;
+  HtmSgl cc;
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{5}); });
@@ -64,9 +72,7 @@ TEST(HtmSglTest, CommitsSimpleTx) {
 }
 
 TEST(HtmSglTest, LargeFootprintFallsBackToSglWithCapacityAborts) {
-  si::baselines::HtmSglConfig cfg;
-  cfg.retries = 3;
-  si::baselines::HtmSgl cc(cfg);
+  HtmSgl cc({}, {.retries = 3});
   cc.register_thread(0);
   std::vector<Cell> cells(200);
   std::uint64_t sum = 0;
@@ -83,9 +89,7 @@ TEST(HtmSglTest, LargeFootprintFallsBackToSglWithCapacityAborts) {
 }
 
 TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
-  si::baselines::HtmSglConfig cfg;
-  cfg.retries = 1;
-  si::baselines::HtmSgl cc(cfg);
+  HtmSgl cc({}, {.retries = 1});
   std::vector<Cell> big(100);
   Cell x;
   std::atomic<bool> victim_in_tx{false}, sgl_done{false};
@@ -98,7 +102,7 @@ TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
       // Park inside the attempt; the SGL acquisition must kill us, so poll.
       si::util::Backoff b;
       while (!sgl_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
       tx.write(&x.v, std::uint64_t{1});
@@ -123,7 +127,7 @@ TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
 }
 
 TEST(HtmSglTest, SerializableTransfers) {
-  si::baselines::HtmSgl cc;
+  HtmSgl cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;
@@ -147,7 +151,7 @@ TEST(HtmSglTest, SerializableTransfers) {
 // --- P8TM ----------------------------------------------------------------
 
 TEST(P8tmTest, CommitsUpdateAndReadOnly) {
-  si::baselines::P8tm cc;
+  P8tm cc;
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{3}); });
@@ -161,7 +165,7 @@ TEST(P8tmTest, CommitsUpdateAndReadOnly) {
 TEST(P8tmTest, LargeReadSetUpdateCommits) {
   // P8TM also stretches capacity: update reads are software-tracked, not
   // TMCAM-tracked.
-  si::baselines::P8tm cc;
+  P8tm cc;
   cc.register_thread(0);
   std::vector<Cell> cells(300);
   Cell out;
@@ -179,7 +183,7 @@ TEST(P8tmTest, WriteSkewIsPreventedBySerializability) {
   // (see SiHtmSemantics.WriteSkewIsAllowed) must stay serializable under
   // P8TM: read {x, y}, write one of them to 0 only if the sum is still 2.
   // Serializable outcomes zero exactly one cell; SI would zero both.
-  si::baselines::P8tm cc;
+  P8tm cc;
   Cell x, y;
   x.v = 1;
   y.v = 1;
@@ -215,7 +219,7 @@ TEST(P8tmTest, WriteSkewIsPreventedBySerializability) {
 }
 
 TEST(P8tmTest, SerializableTransfers) {
-  si::baselines::P8tm cc;
+  P8tm cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;
@@ -239,7 +243,7 @@ TEST(P8tmTest, SerializableTransfers) {
 // --- Silo ----------------------------------------------------------------
 
 TEST(SiloTest, ReadOwnBufferedWrites) {
-  si::baselines::Silo cc;
+  Silo cc;
   cc.register_thread(0);
   Cell x;
   x.v = 1;
@@ -253,7 +257,7 @@ TEST(SiloTest, ReadOwnBufferedWrites) {
 }
 
 TEST(SiloTest, WritesInvisibleUntilCommit) {
-  si::baselines::Silo cc;
+  Silo cc;
   Cell x;
   std::atomic<bool> wrote{false}, checked{false};
   std::uint64_t observed = ~0ull;
@@ -279,7 +283,7 @@ TEST(SiloTest, WritesInvisibleUntilCommit) {
 }
 
 TEST(SiloTest, PartialOverlayOnWideRead) {
-  si::baselines::Silo cc;
+  Silo cc;
   cc.register_thread(0);
   struct alignas(kLineSize) Pair {
     std::uint64_t a = 1, b = 2;
@@ -296,7 +300,7 @@ TEST(SiloTest, PartialOverlayOnWideRead) {
 }
 
 TEST(SiloTest, SerializableTransfers) {
-  si::baselines::Silo cc;
+  Silo cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;

@@ -6,7 +6,9 @@
 
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -81,12 +83,12 @@ TEST(DriverTest, FixedOpsNeverObserveStop) {
 }
 
 TEST(DriverTest, ResetPhaseCountersZeroesFastPathTelemetry) {
-  // Uses SiHtm directly (it exposes htm()): thread_stats() re-mirrors the
-  // emulation's fast-path counters on harvest, so a reset that missed the
-  // HtmRuntime side would resurrect the old hits here.
-  si::sihtm::SiHtmConfig cc_cfg;
-  cc_cfg.max_threads = 2;
-  si::sihtm::SiHtm cc(cc_cfg);
+  // Uses a Machine directly (its substrate exposes htm()): thread_stats()
+  // re-mirrors the emulation's fast-path counters on harvest, so a reset
+  // that missed the HtmRuntime side would resurrect the old hits here.
+  using si::protocol::RealSubstrate;
+  si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>
+      cc({.max_threads = 2});
   struct alignas(128) Cell {
     std::uint64_t v = 0;
   } cells[4];
@@ -101,7 +103,7 @@ TEST(DriverTest, ResetPhaseCountersZeroesFastPathTelemetry) {
   ASSERT_GT(first.totals.fast_path.hits + first.totals.fast_path.misses, 0u);
 
   reset_phase_counters(cc);
-  const auto totals = cc.htm().fast_path_totals();
+  const auto totals = cc.substrate().htm().fast_path_totals();
   EXPECT_EQ(totals.hits, 0u);
   EXPECT_EQ(totals.misses, 0u);
   EXPECT_EQ(si::util::aggregate(cc.thread_stats(), 0.0).totals.fast_path.hits,

@@ -14,12 +14,12 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
-#include "baselines/htm_sgl.hpp"
-#include "baselines/p8tm.hpp"
-#include "baselines/raw_rot.hpp"
-#include "baselines/silo.hpp"
 #include "check/history.hpp"
 #include "check/verify.hpp"
 #include "maps/bst.hpp"
@@ -29,8 +29,11 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sihtm/sihtm.hpp"
-#include "sim/backends.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
 #include "util/rng.hpp"
@@ -38,9 +41,19 @@
 
 namespace {
 
+using si::protocol::RealSubstrate;
+using si::protocol::RealSubstrateConfig;
+using si::protocol::SimSubstrate;
+using si::protocol::SimSubstrateConfig;
+using si::runtime::Backend;
+using si::runtime::make_machine;
 using si::util::AbortCause;
 using si::util::kLineSize;
 using si::util::ThreadStats;
+
+constexpr Backend kBackends[] = {Backend::kHtm, Backend::kSiHtm,
+                                 Backend::kP8tm, Backend::kSilo,
+                                 Backend::kRawRot};
 
 struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
@@ -132,41 +145,51 @@ void seed_cells(std::vector<Cell>& cells, si::check::HistoryRecorder& rec) {
   }
 }
 
-/// Runs the script on a real-thread backend, single-threaded (so the
+/// Runs the script on backend `b` on real threads, single-threaded (so the
 /// recorded history is exact; see check/history.hpp).
-template <typename Backend, typename MakeBackend>
-RunResult run_real(const std::vector<Op>& script, MakeBackend&& make) {
+RunResult run_real(Backend b, const std::vector<Op>& script,
+                   RealSubstrateConfig sub = {}) {
   RunResult out;
   si::check::HistoryRecorder rec(8);
   seed_cells(out.cells, rec);
-  Backend be = make(rec);
-  be.register_thread(0);
-  for (const auto& op : script) {
-    be.execute(op.kind == OpKind::kRoScan,
-               [&](auto& tx) { run_op(tx, op, out.cells); });
-  }
-  out.stats = be.thread_stats()[0];
+  sub.max_threads = 8;
+  sub.recorder = &rec;
+  auto m = make_machine<RealSubstrate>(b, 10, {}, sub);
+  std::visit(
+      [&](auto& be) {
+        be.register_thread(0);
+        for (const auto& op : script) {
+          be.execute(op.kind == OpKind::kRoScan,
+                     [&](auto& tx) { run_op(tx, op, out.cells); });
+        }
+        out.stats = be.thread_stats()[0];
+      },
+      m);
   out.history = rec.merged();
   return out;
 }
 
-/// Runs the same script on the matching sim backend inside a one-thread
-/// virtual machine.
-template <typename Backend, typename MakeBackend>
-RunResult run_sim(const std::vector<Op>& script, MakeBackend&& make) {
+/// Runs the same script on backend `b` inside a one-thread virtual machine.
+RunResult run_sim(Backend b, const std::vector<Op>& script,
+                  SimSubstrateConfig sub = {}) {
   RunResult out;
   si::check::HistoryRecorder rec(8);
   seed_cells(out.cells, rec);
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, 1);
-  Backend be = make(eng, rec);
-  eng.run(1e9, [&](int) {
-    for (const auto& op : script) {
-      be.execute(op.kind == OpKind::kRoScan,
-                 [&](auto& tx) { run_op(tx, op, out.cells); });
-    }
-    eng.wait(1e12);  // past the deadline: the script runs exactly once
-  });
-  out.stats = be.thread_stats()[0];
+  sub.recorder = &rec;
+  auto m = make_machine<SimSubstrate>(b, 10, {}, eng, sub);
+  std::visit(
+      [&](auto& be) {
+        eng.run(1e9, [&](int) {
+          for (const auto& op : script) {
+            be.execute(op.kind == OpKind::kRoScan,
+                       [&](auto& tx) { run_op(tx, op, out.cells); });
+          }
+          eng.wait(1e12);  // past the deadline: the script runs exactly once
+        });
+        out.stats = be.thread_stats()[0];
+      },
+      m);
   out.history = rec.merged();
   return out;
 }
@@ -190,22 +213,51 @@ void expect_equivalent(const RunResult& real, const RunResult& sim) {
   }
 }
 
+/// The cross-substrate sweep over Backend x seed: the same script on real
+/// threads and in the simulator, plus each protocol's own fall-back facts.
+void expect_backend_equivalent(Backend b, std::uint64_t seed) {
+  // No capacity stressor for raw-ROT: it has no SGL fall-back, so an
+  // over-capacity transaction would retry (and capacity-abort) forever by
+  // design.
+  const auto script =
+      make_script(seed, /*with_capacity_stress=*/b != Backend::kRawRot);
+  const auto real = run_real(b, script);
+  const auto sim = run_sim(b, script);
+  expect_equivalent(real, sim);
+
+  const auto capacity =
+      real.stats.aborts_by_cause[static_cast<int>(AbortCause::kCapacity)];
+  if (b == Backend::kHtm || b == Backend::kSiHtm || b == Backend::kP8tm) {
+    EXPECT_GT(real.stats.sgl_commits, 0u);  // the stressor took the SGL
+  } else {
+    EXPECT_EQ(real.stats.sgl_commits, 0u);  // Silo and raw-ROT have none
+  }
+  // The stressor must actually have exercised SI-HTM's capacity path; Silo
+  // buffers writes in software, so it never sees a capacity abort.
+  if (b == Backend::kSiHtm) {
+    EXPECT_GT(capacity, 0u);
+  }
+  if (b == Backend::kSilo) {
+    EXPECT_EQ(capacity, 0u);
+  }
+}
+
 class EquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EquivalenceTest, SiHtm) {
-  const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
-  });
-  const auto sim = run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimSiHtm(eng, /*retries=*/10,
-                             /*straggler_kill_after_ns=*/0, &rec);
-  });
-  expect_equivalent(real, sim);
-  // The stressor must actually have exercised the capacity path.
-  EXPECT_GT(real.stats.sgl_commits, 0u);
-  EXPECT_GT(
-      real.stats.aborts_by_cause[static_cast<int>(AbortCause::kCapacity)], 0u);
+  expect_backend_equivalent(Backend::kSiHtm, GetParam());
+}
+TEST_P(EquivalenceTest, HtmSgl) {
+  expect_backend_equivalent(Backend::kHtm, GetParam());
+}
+TEST_P(EquivalenceTest, P8tm) {
+  expect_backend_equivalent(Backend::kP8tm, GetParam());
+}
+TEST_P(EquivalenceTest, Silo) {
+  expect_backend_equivalent(Backend::kSilo, GetParam());
+}
+TEST_P(EquivalenceTest, RawRot) {
+  expect_backend_equivalent(Backend::kRawRot, GetParam());
 }
 
 TEST_P(EquivalenceTest, SiHtmFastPathToggle) {
@@ -213,15 +265,10 @@ TEST_P(EquivalenceTest, SiHtmFastPathToggle) {
   // same script must produce identical accounting and final state, and only
   // the enabled run may report ownership-cache hits.
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto fast = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
-  });
+  const auto fast = run_real(Backend::kSiHtm, script);
   si::p8::HtmConfig slow_htm;
   slow_htm.owned_line_fast_path = false;
-  const auto slow = run_real<si::sihtm::SiHtm>(script, [&](auto& rec) {
-    return si::sihtm::SiHtm(
-        {.htm = slow_htm, .max_threads = 8, .recorder = &rec});
-  });
+  const auto slow = run_real(Backend::kSiHtm, script, {.htm = slow_htm});
   expect_equivalent(fast, slow);
   EXPECT_GT(fast.stats.fast_path.hits, 0u);
   EXPECT_EQ(slow.stats.fast_path.hits, 0u);
@@ -235,13 +282,9 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
 
   si::obs::Tracer tracer(8);
   si::obs::Metrics metrics(8);
-  const si::obs::ObsConfig obs{&tracer, &metrics};
-  const auto traced = run_real<si::sihtm::SiHtm>(script, [&](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec, .obs = obs});
-  });
-  const auto plain = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
-  });
+  const auto traced =
+      run_real(Backend::kSiHtm, script, {.obs = {&tracer, &metrics}});
+  const auto plain = run_real(Backend::kSiHtm, script);
   expect_equivalent(traced, plain);
   if (si::obs::kTraceEnabled) {  // stubs record nothing under SI_TRACE=0
     EXPECT_GT(tracer.emitted(0), 0u);
@@ -250,71 +293,12 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
 
   si::obs::Tracer sim_tracer(1);
   const auto sim_traced =
-      run_sim<si::sim::SimSiHtm>(script, [&](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec,
-                                 si::obs::ObsConfig{&sim_tracer, nullptr});
-      });
-  const auto sim_plain =
-      run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec);
-      });
+      run_sim(Backend::kSiHtm, script, {.obs = {&sim_tracer, nullptr}});
+  const auto sim_plain = run_sim(Backend::kSiHtm, script);
   expect_equivalent(sim_traced, sim_plain);
-  if (si::obs::kTraceEnabled) EXPECT_GT(sim_tracer.emitted(0), 0u);
-}
-
-TEST_P(EquivalenceTest, HtmSgl) {
-  const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::HtmSgl>(script, [](auto& rec) {
-    return si::baselines::HtmSgl({.max_threads = 8, .recorder = &rec});
-  });
-  const auto sim = run_sim<si::sim::SimHtmSgl>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimHtmSgl(eng, /*retries=*/10, &rec);
-  });
-  expect_equivalent(real, sim);
-  EXPECT_GT(real.stats.sgl_commits, 0u);
-}
-
-TEST_P(EquivalenceTest, P8tm) {
-  const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::P8tm>(script, [](auto& rec) {
-    return si::baselines::P8tm({.max_threads = 8, .recorder = &rec});
-  });
-  const auto sim = run_sim<si::sim::SimP8tm>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimP8tm(eng, /*retries=*/10, &rec);
-  });
-  expect_equivalent(real, sim);
-  EXPECT_GT(real.stats.sgl_commits, 0u);
-}
-
-TEST_P(EquivalenceTest, Silo) {
-  const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::Silo>(script, [](auto& rec) {
-    return si::baselines::Silo({.max_threads = 8, .recorder = &rec});
-  });
-  const auto sim = run_sim<si::sim::SimSilo>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimSilo(eng, &rec);
-  });
-  expect_equivalent(real, sim);
-  // Silo buffers writes in software: no capacity aborts, ever.
-  EXPECT_EQ(real.stats.sgl_commits, 0u);
-  EXPECT_EQ(
-      real.stats.aborts_by_cause[static_cast<int>(AbortCause::kCapacity)], 0u);
-}
-
-TEST_P(EquivalenceTest, RawRot) {
-  // No capacity stressor: raw-ROT has no SGL fall-back, so an over-capacity
-  // transaction would retry (and capacity-abort) forever by design.
-  const auto script = make_script(GetParam(), /*with_capacity_stress=*/false);
-  const auto real = run_real<si::baselines::RawRot>(script, [](auto& rec) {
-    return si::baselines::RawRot({.max_threads = 8, .recorder = &rec});
-  });
-  const auto sim = run_sim<si::sim::SimRawRot>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimRawRot(eng, /*retries=*/10, &rec);
-  });
-  expect_equivalent(real, sim);
-  EXPECT_EQ(real.stats.sgl_commits, 0u);
+  if (si::obs::kTraceEnabled) {
+    EXPECT_GT(sim_tracer.emitted(0), 0u);
+  }
 }
 
 TEST_P(EquivalenceTest, SlimVsTtasSgl) {
@@ -324,36 +308,22 @@ TEST_P(EquivalenceTest, SlimVsTtasSgl) {
   // must be indistinguishable — same accounting, same final memory, same
   // SI-admissible history — on the real substrate and in the simulator.
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto slim = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8,
-                             .recorder = &rec,
-                             .sgl_impl = si::util::SglImpl::kSlim});
-  });
-  const auto ttas = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8,
-                             .recorder = &rec,
-                             .sgl_impl = si::util::SglImpl::kTtas,
-                             .sgl_shared_ro = false});
-  });
+  const auto slim = run_real(Backend::kSiHtm, script,
+                             {.sgl_impl = si::util::SglImpl::kSlim});
+  const auto ttas = run_real(
+      Backend::kSiHtm, script,
+      {.sgl_impl = si::util::SglImpl::kTtas, .sgl_shared_ro = false});
   expect_equivalent(slim, ttas);
   EXPECT_GT(slim.stats.sgl_commits, 0u);  // the SGL path actually ran
   EXPECT_EQ(slim.stats.sgl_sleep_wakeups, 0u);  // uncontended: no parking
   EXPECT_EQ(ttas.stats.sgl_sleep_wakeups, 0u);  // TTAS never parks
 
-  const auto sim_slim =
-      run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/true);
-      });
-  const auto sim_ttas =
-      run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kTtas,
-                                 /*sgl_shared_ro=*/false);
-      });
+  const auto sim_slim = run_sim(
+      Backend::kSiHtm, script,
+      {.sgl_impl = si::util::SglImpl::kSlim, .sgl_shared_ro = true});
+  const auto sim_ttas = run_sim(
+      Backend::kSiHtm, script,
+      {.sgl_impl = si::util::SglImpl::kTtas, .sgl_shared_ro = false});
   expect_equivalent(sim_slim, sim_ttas);
 }
 
@@ -362,19 +332,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
 
 // --- multi-threaded slim-lock cases (sim: deterministic schedules) ----------
 
-/// Per-thread scripted run on an 8-thread simulated machine. Each thread
+/// Per-thread scripted SI-HTM run on an 8-thread simulated machine. Each thread
 /// executes its own `make_script(seed ^ tid)` script once; the engine's
 /// deterministic scheduling makes the whole run a pure function of the
 /// configuration, which is what lets the test below compare entire runs.
-template <typename MakeBackend>
-RunResult run_sim_mt(std::uint64_t seed, int threads, MakeBackend&& make,
+RunResult run_sim_mt(std::uint64_t seed, int threads, SimSubstrateConfig sub,
                      si::util::ThreadStats* totals = nullptr,
                      double* elapsed = nullptr) {
   RunResult out;
   si::check::HistoryRecorder rec(threads);
   seed_cells(out.cells, rec);
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, threads);
-  auto be = make(eng, rec);
+  sub.recorder = &rec;
+  si::protocol::Machine<si::protocol::SiHtmCore<SimSubstrate>, SimSubstrate> be(
+      eng, sub);
   std::vector<std::vector<Op>> scripts;
   scripts.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
@@ -412,21 +383,11 @@ TEST(SlimVsTtasSim, SharedOffSchedulesAreIdentical) {
   double slim_end = 0, ttas_end = 0;
   const auto slim = run_sim_mt(
       /*seed=*/42, /*threads=*/8,
-      [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/false);
-      },
+      {.sgl_impl = si::util::SglImpl::kSlim, .sgl_shared_ro = false},
       &slim_tot, &slim_end);
   const auto ttas = run_sim_mt(
       /*seed=*/42, /*threads=*/8,
-      [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kTtas,
-                                 /*sgl_shared_ro=*/false);
-      },
+      {.sgl_impl = si::util::SglImpl::kTtas, .sgl_shared_ro = false},
       &ttas_tot, &ttas_end);
   EXPECT_EQ(slim_end, ttas_end);
   EXPECT_EQ(slim_tot.commits, ttas_tot.commits);
@@ -457,13 +418,8 @@ TEST(SlimVsTtasSim, SharedAdmissionKeepsSnapshotIsolation) {
   double shared_end = 0, excl_end = 0;
   const auto run = run_sim_mt(
       /*seed=*/7, /*threads=*/8,
-      [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/true);
-      },
-      &tot, &shared_end);
+      {.sgl_impl = si::util::SglImpl::kSlim, .sgl_shared_ro = true}, &tot,
+      &shared_end);
   EXPECT_GT(tot.sgl_commits, 0u);  // drains happened
   const auto res = si::check::verify_si(run.history);
   EXPECT_TRUE(res.ok()) << si::check::describe(res);
@@ -471,15 +427,9 @@ TEST(SlimVsTtasSim, SharedAdmissionKeepsSnapshotIsolation) {
   // Prove shared admission actually fired: the same seed with it disabled
   // must produce a *different* schedule (a join that overlapped a drain
   // changes every subsequent wait), so the virtual end times diverge.
-  run_sim_mt(
-      /*seed=*/7, /*threads=*/8,
-      [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/false);
-      },
-      nullptr, &excl_end);
+  run_sim_mt(/*seed=*/7, /*threads=*/8,
+             {.sgl_impl = si::util::SglImpl::kSlim, .sgl_shared_ro = false},
+             nullptr, &excl_end);
   EXPECT_NE(shared_end, excl_end);
 }
 
@@ -562,9 +512,8 @@ std::uint64_t apply_map_op(Map& map, CC& cc, const MapOp& op,
   return 0;
 }
 
-template <typename Map, typename Backend, typename MakeBackend>
-MapRunResult run_map_real(const std::vector<MapOp>& script,
-                          MakeBackend&& make) {
+template <typename Map>
+MapRunResult run_map_real(Backend b, const std::vector<MapOp>& script) {
   MapRunResult out;
   si::check::HistoryRecorder rec(8);
   Map map;
@@ -573,19 +522,24 @@ MapRunResult run_map_real(const std::vector<MapOp>& script,
   // Seeded through DirectCC before the backend exists: both substrates start
   // from the identical pre-populated tree, outside the recorded history.
   si::maps::map_seed(map, kMapSeedElems, kMapKeySpace, 77, scratch);
-  Backend be = make(rec);
-  be.register_thread(0);
-  out.results.reserve(script.size());
-  for (const auto& op : script)
-    out.results.push_back(apply_map_op(map, be, op, scratch));
-  out.stats = be.thread_stats()[0];
+  auto m = make_machine<RealSubstrate>(
+      b, 10, {}, RealSubstrateConfig{.max_threads = 8, .recorder = &rec});
+  std::visit(
+      [&](auto& be) {
+        be.register_thread(0);
+        out.results.reserve(script.size());
+        for (const auto& op : script)
+          out.results.push_back(apply_map_op(map, be, op, scratch));
+        out.stats = be.thread_stats()[0];
+      },
+      m);
   out.dump = si::maps::map_dump(map);
   out.history = rec.merged();
   return out;
 }
 
-template <typename Map, typename Backend, typename MakeBackend>
-MapRunResult run_map_sim(const std::vector<MapOp>& script, MakeBackend&& make) {
+template <typename Map>
+MapRunResult run_map_sim(Backend b, const std::vector<MapOp>& script) {
   MapRunResult out;
   si::check::HistoryRecorder rec(8);
   Map map;
@@ -593,14 +547,19 @@ MapRunResult run_map_sim(const std::vector<MapOp>& script, MakeBackend&& make) {
   typename Map::ScratchT scratch(pool);
   si::maps::map_seed(map, kMapSeedElems, kMapKeySpace, 77, scratch);
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, 1);
-  Backend be = make(eng, rec);
+  auto m = make_machine<SimSubstrate>(b, 10, {}, eng,
+                                      SimSubstrateConfig{.recorder = &rec});
   out.results.reserve(script.size());
-  eng.run(1e9, [&](int) {
-    for (const auto& op : script)
-      out.results.push_back(apply_map_op(map, be, op, scratch));
-    eng.wait(1e12);  // past the deadline: the script runs exactly once
-  });
-  out.stats = be.thread_stats()[0];
+  std::visit(
+      [&](auto& be) {
+        eng.run(1e9, [&](int) {
+          for (const auto& op : script)
+            out.results.push_back(apply_map_op(map, be, op, scratch));
+          eng.wait(1e12);  // past the deadline: the script runs exactly once
+        });
+        out.stats = be.thread_stats()[0];
+      },
+      m);
   out.dump = si::maps::map_dump(map);
   out.history = rec.merged();
   return out;
@@ -635,65 +594,10 @@ void expect_map_equivalent(const MapRunResult& real, const MapRunResult& sim) {
 template <typename Map>
 void map_cases(std::uint64_t seed) {
   const auto script = make_map_script(seed);
-  {
-    SCOPED_TRACE("si-htm");
-    const auto real = run_map_real<Map, si::sihtm::SiHtm>(script, [](auto& rec) {
-      return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
-    });
-    const auto sim =
-        run_map_sim<Map, si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                   /*straggler_kill_after_ns=*/0, &rec);
-        });
-    expect_map_equivalent(real, sim);
-  }
-  {
-    SCOPED_TRACE("htm-sgl");
-    const auto real =
-        run_map_real<Map, si::baselines::HtmSgl>(script, [](auto& rec) {
-          return si::baselines::HtmSgl({.max_threads = 8, .recorder = &rec});
-        });
-    const auto sim =
-        run_map_sim<Map, si::sim::SimHtmSgl>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimHtmSgl(eng, /*retries=*/10, &rec);
-        });
-    expect_map_equivalent(real, sim);
-  }
-  {
-    SCOPED_TRACE("p8tm");
-    const auto real =
-        run_map_real<Map, si::baselines::P8tm>(script, [](auto& rec) {
-          return si::baselines::P8tm({.max_threads = 8, .recorder = &rec});
-        });
-    const auto sim =
-        run_map_sim<Map, si::sim::SimP8tm>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimP8tm(eng, /*retries=*/10, &rec);
-        });
-    expect_map_equivalent(real, sim);
-  }
-  {
-    SCOPED_TRACE("silo");
-    const auto real =
-        run_map_real<Map, si::baselines::Silo>(script, [](auto& rec) {
-          return si::baselines::Silo({.max_threads = 8, .recorder = &rec});
-        });
-    const auto sim =
-        run_map_sim<Map, si::sim::SimSilo>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimSilo(eng, &rec);
-        });
-    expect_map_equivalent(real, sim);
-  }
-  {
-    SCOPED_TRACE("raw-rot");
-    const auto real =
-        run_map_real<Map, si::baselines::RawRot>(script, [](auto& rec) {
-          return si::baselines::RawRot({.max_threads = 8, .recorder = &rec});
-        });
-    const auto sim =
-        run_map_sim<Map, si::sim::SimRawRot>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimRawRot(eng, /*retries=*/10, &rec);
-        });
-    expect_map_equivalent(real, sim);
+  for (const Backend b : kBackends) {
+    SCOPED_TRACE(to_string(b));
+    expect_map_equivalent(run_map_real<Map>(b, script),
+                          run_map_sim<Map>(b, script));
   }
 }
 
@@ -707,5 +611,28 @@ TEST_P(MapEquivalenceTest, Btree) { map_cases<si::maps::Btree>(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapEquivalenceTest,
                          ::testing::Values(1u, 7u, 42u, 20260807u));
+
+// --- backend names -----------------------------------------------------------
+
+TEST(BackendNames, RoundTripAndEveryCliSpellingParses) {
+  for (const Backend b : kBackends) {
+    EXPECT_EQ(si::runtime::backend_from_string(to_string(b)), b)
+        << to_string(b);
+  }
+  // The CLI names and aliases every front end (si_fuzz, si_trace, si_serve,
+  // the benches) has accepted, plus the display names the benches print.
+  const std::pair<std::string_view, Backend> spellings[] = {
+      {"htm", Backend::kHtm},         {"htm-sgl", Backend::kHtm},
+      {"HTM", Backend::kHtm},         {"si-htm", Backend::kSiHtm},
+      {"sihtm", Backend::kSiHtm},     {"SI-HTM", Backend::kSiHtm},
+      {"p8tm", Backend::kP8tm},       {"P8TM", Backend::kP8tm},
+      {"silo", Backend::kSilo},       {"Silo", Backend::kSilo},
+      {"raw-rot", Backend::kRawRot},  {"rawrot", Backend::kRawRot},
+      {"raw-ROT", Backend::kRawRot}};
+  for (const auto& [name, b] : spellings) {
+    EXPECT_EQ(si::runtime::backend_from_string(name), b) << name;
+  }
+  EXPECT_THROW(si::runtime::backend_from_string("tl2"), std::invalid_argument);
+}
 
 }  // namespace

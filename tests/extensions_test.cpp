@@ -6,8 +6,10 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
-#include "sim/backends.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
 #include "sim/engine.hpp"
 #include "util/backoff.hpp"
 #include "util/histogram.hpp"
@@ -17,6 +19,12 @@ namespace {
 using si::util::AbortCause;
 using si::util::Histogram;
 using si::util::kLineSize;
+using si::protocol::RealSubstrate;
+using si::protocol::SimSubstrate;
+using SiHtm =
+    si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>;
+using SiHtmSim =
+    si::protocol::Machine<si::protocol::SiHtmCore<SimSubstrate>, SimSubstrate>;
 
 struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
@@ -153,10 +161,7 @@ TEST(LvdirTest, OnlyTwoThreadsPerPairGetSlots) {
 // --- straggler killing -----------------------------------------------------
 
 TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 4;
-  cfg.straggler_kill_spins = 200;
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = 4, .straggler_kill_spins = 200});
   Cell x, y;
   std::atomic<bool> straggler_in{false};
   std::atomic<bool> committer_done{false};
@@ -170,7 +175,7 @@ TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
       // (retry attempts).
       si::util::Backoff b;
       while (!committer_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -192,10 +197,8 @@ TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
 }
 
 TEST(StragglerKillTest, DisabledPolicyNeverKills) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 4;
-  cfg.straggler_kill_spins = 0;  // default: the paper's configuration
-  si::sihtm::SiHtm cc(cfg);
+  // straggler_kill_spins = 0, the default: the paper's configuration.
+  SiHtm cc({.max_threads = 4});
   Cell x, y;
   std::atomic<bool> straggler_in{false}, release{false};
 
@@ -206,7 +209,7 @@ TEST(StragglerKillTest, DisabledPolicyNeverKills) {
       straggler_in.store(true, std::memory_order_release);
       si::util::Backoff b;
       while (!release.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -234,7 +237,7 @@ TEST(StragglerKillTest, SimPolicyRaisesStragglerAborts) {
   auto run_with = [](double kill_after_ns) {
     si::sim::SimMachineConfig mcfg;
     si::sim::SimEngine eng(mcfg, 4);
-    si::sim::SimSiHtm cc(eng, 10, kill_after_ns);
+    SiHtmSim cc(eng, {.straggler_kill_after_ns = kill_after_ns});
     std::vector<Cell> cells(4);
     std::vector<si::util::Xoshiro256> rngs;
     for (int t = 0; t < 4; ++t) rngs.emplace_back(5 + t);

@@ -13,14 +13,15 @@
 #include "check/fuzzer.hpp"
 #include "check/history.hpp"
 #include "check/verify.hpp"
+#include "runtime/backend.hpp"
 
 namespace {
 
-using si::check::FuzzBackend;
 using si::check::FuzzConfig;
 using si::check::FuzzStruct;
 using si::check::FuzzSummary;
 using si::check::ScheduleReport;
+using si::runtime::Backend;
 
 std::string summarize_failure(const FuzzSummary& s) {
   std::ostringstream os;
@@ -34,7 +35,7 @@ std::string summarize_failure(const FuzzSummary& s) {
   return os.str();
 }
 
-void expect_clean(FuzzBackend backend, std::uint64_t base_seed, int n,
+void expect_clean(Backend backend, std::uint64_t base_seed, int n,
                   FuzzStruct structure = FuzzStruct::kLedger) {
   FuzzConfig cfg;
   cfg.backend = backend;
@@ -46,18 +47,18 @@ void expect_clean(FuzzBackend backend, std::uint64_t base_seed, int n,
 
 // 3 x 72 = 216 seeded schedules across the correct backends — the >= 200
 // clean-schedule acceptance bar, kept in the default ctest run.
-TEST(FuzzSmoke, SiHtm) { expect_clean(FuzzBackend::kSiHtm, 1000, 72); }
-TEST(FuzzSmoke, HtmSgl) { expect_clean(FuzzBackend::kHtmSgl, 2000, 72); }
-TEST(FuzzSmoke, Silo) { expect_clean(FuzzBackend::kSilo, 3000, 72); }
+TEST(FuzzSmoke, SiHtm) { expect_clean(Backend::kSiHtm, 1000, 72); }
+TEST(FuzzSmoke, HtmSgl) { expect_clean(Backend::kHtm, 2000, 72); }
+TEST(FuzzSmoke, Silo) { expect_clean(Backend::kSilo, 3000, 72); }
 
-TEST(FuzzSmoke, P8tm) { expect_clean(FuzzBackend::kP8tm, 3500, 24); }
+TEST(FuzzSmoke, P8tm) { expect_clean(Backend::kP8tm, 3500, 24); }
 
 // The straggler-killing extension must preserve SI: killed ROTs abort and
 // their writes stay invisible. The kill-count assertion keeps the test
 // honest — it proves the policy actually fired during the batch.
 TEST(FuzzSmoke, SiHtmStragglerKill) {
   FuzzConfig cfg;
-  cfg.backend = FuzzBackend::kSiHtm;
+  cfg.backend = Backend::kSiHtm;
   cfg.straggler_kill_after_ns = 400;
   const FuzzSummary s = si::check::fuzz(cfg, 4000, 40);
   EXPECT_TRUE(s.ok()) << summarize_failure(s);
@@ -71,7 +72,7 @@ TEST(FuzzSmoke, SiHtmStragglerKill) {
 // too weak to see the Fig. 3 anomaly the paper's safety wait exists to stop.
 TEST(FuzzBroken, RawRotCaught) {
   FuzzConfig cfg;
-  cfg.backend = FuzzBackend::kRawRot;
+  cfg.backend = Backend::kRawRot;
   cfg.keep_history = true;
 
   ScheduleReport failing;
@@ -106,22 +107,22 @@ TEST(FuzzBroken, RawRotCaught) {
 // each map structure with a clean SI verdict, conserved key count and an
 // intact, strictly-sorted structure.
 TEST(MapFuzzSmoke, SkiplistSiHtm) {
-  expect_clean(FuzzBackend::kSiHtm, 6000, 24, FuzzStruct::kSkiplist);
+  expect_clean(Backend::kSiHtm, 6000, 24, FuzzStruct::kSkiplist);
 }
 TEST(MapFuzzSmoke, SkiplistSilo) {
-  expect_clean(FuzzBackend::kSilo, 6100, 24, FuzzStruct::kSkiplist);
+  expect_clean(Backend::kSilo, 6100, 24, FuzzStruct::kSkiplist);
 }
 TEST(MapFuzzSmoke, BstSiHtm) {
-  expect_clean(FuzzBackend::kSiHtm, 6200, 24, FuzzStruct::kBst);
+  expect_clean(Backend::kSiHtm, 6200, 24, FuzzStruct::kBst);
 }
 TEST(MapFuzzSmoke, BstHtmSgl) {
-  expect_clean(FuzzBackend::kHtmSgl, 6300, 24, FuzzStruct::kBst);
+  expect_clean(Backend::kHtm, 6300, 24, FuzzStruct::kBst);
 }
 TEST(MapFuzzSmoke, BtreeSiHtm) {
-  expect_clean(FuzzBackend::kSiHtm, 6400, 24, FuzzStruct::kBtree);
+  expect_clean(Backend::kSiHtm, 6400, 24, FuzzStruct::kBtree);
 }
 TEST(MapFuzzSmoke, BtreeP8tm) {
-  expect_clean(FuzzBackend::kP8tm, 6500, 24, FuzzStruct::kBtree);
+  expect_clean(Backend::kP8tm, 6500, 24, FuzzStruct::kBtree);
 }
 
 // Committed regression seeds: one pinned schedule per structure, replayed
@@ -157,7 +158,7 @@ TEST(MapFuzzRegression, BtreeSeed) {
 // has to flag it. This is the map-zoo restatement of FuzzBroken.RawRotCaught.
 TEST(MapFuzzBroken, RawRotCaughtOnSkiplist) {
   FuzzConfig cfg;
-  cfg.backend = FuzzBackend::kRawRot;
+  cfg.backend = Backend::kRawRot;
   cfg.structure = FuzzStruct::kSkiplist;
   cfg.keep_history = true;
 

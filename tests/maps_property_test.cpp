@@ -187,7 +187,9 @@ void run_property(Backend backend, std::uint64_t seed) {
       const auto& st = states[r.snap];
       const auto it = st.find(r.key);
       ASSERT_EQ(r.found, it != st.end()) << "get at snapshot " << r.snap;
-      if (r.found) ASSERT_EQ(r.val, it->second);
+      if (r.found) {
+        ASSERT_EQ(r.val, it->second);
+      }
     }
     for (const auto& s : log.scans) {
       ASSERT_LE(s.snap, updates.size());

@@ -68,7 +68,9 @@ void stress(LockMode mode, std::uint64_t seed) {
         const std::uint64_t key = 1 + rng.below(kKeySpace);
         if (d < 20) {
           std::uint64_t v = 0;
-          if (locked.get(key, &v)) ASSERT_EQ(v, key * 3 + 1);
+          if (locked.get(key, &v)) {
+            ASSERT_EQ(v, key * 3 + 1);
+          }
         } else if (d < 35) {
           const std::size_t n = locked.range(key, key + 31, buf, 64);
           scans[t] += n;

@@ -14,9 +14,11 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
 #include "runtime/driver.hpp"
-#include "sihtm/sihtm.hpp"
-#include "sim/backends.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -245,7 +247,9 @@ SimTraceRun run_sim_hashmap(bool with_obs, int threads = 4,
   const si::obs::ObsConfig obs =
       with_obs ? si::obs::ObsConfig{&tracer, &metrics} : si::obs::ObsConfig{};
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, threads);
-  si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
+  si::protocol::Machine<si::protocol::SiHtmCore<si::protocol::SimSubstrate>,
+                        si::protocol::SimSubstrate>
+      cc(eng, {.obs = obs});
   si::hashmap::WorkloadConfig wcfg;
   wcfg.buckets = 50;
   wcfg.avg_chain = 20;
@@ -376,8 +380,10 @@ TEST(ObsTaxonomyTest, RealAndSimEmitTheSameLifecycleKinds) {
   {
     Tracer tracer(kThreads);
     si::obs::Metrics metrics(kThreads);
-    si::sihtm::SiHtm cc({.max_threads = kThreads,
-                         .obs = si::obs::ObsConfig{&tracer, &metrics}});
+    si::protocol::Machine<si::protocol::SiHtmCore<si::protocol::RealSubstrate>,
+                          si::protocol::RealSubstrate>
+        cc({.max_threads = kThreads,
+            .obs = si::obs::ObsConfig{&tracer, &metrics}});
     si::hashmap::WorkloadConfig wcfg;
     wcfg.buckets = 50;
     wcfg.avg_chain = 20;

@@ -165,7 +165,9 @@ TEST_P(SequentialEquivalence, RandomOpsMatchReferenceModel) {
       rt.execute(true, [&](auto& tx) { found = map.lookup(tx, key, &got); });
       const auto it = reference.find(key);
       ASSERT_EQ(found, it != reference.end()) << "key " << key;
-      if (found) ASSERT_EQ(got, it->second) << "key " << key;
+      if (found) {
+        ASSERT_EQ(got, it->second) << "key " << key;
+      }
     }
   }
   EXPECT_EQ(map.count(), reference.size());

@@ -6,8 +6,10 @@
 #include <thread>
 
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
-#include "sihtm/state_table.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/state_table.hpp"
 #include "util/backoff.hpp"
 
 namespace {
@@ -15,6 +17,11 @@ namespace {
 using namespace si::p8;
 using si::util::AbortCause;
 using si::util::kLineSize;
+using si::protocol::kStateCompleted;
+using si::protocol::kStateInactive;
+using si::protocol::RealSubstrate;
+using SiHtm =
+    si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>;
 
 struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
@@ -35,15 +42,12 @@ void await(const std::atomic<bool>& flag) {
 // figure's: snapshots never see t0's uncommitted write, and the write-write
 // conflict aborts exactly one of {t0, t3}.
 TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 8;
   // The scripted bodies below block inside their transactions until another
   // thread's transaction has run. Under the SGL fall-back no other
   // transaction can run, so a body that fell back would wait forever; and
   // the readers' kills can chain past the default 10 attempts on a loaded
   // host. Never fall back.
-  cfg.retries = 1 << 30;
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = 8}, {.retries = 1 << 30});
   Cell x, y;
   y.v = 10;
 
@@ -62,7 +66,7 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
       // readers' accesses may kill us (single-version SI), so poll.
       si::util::Backoff b;
       while (readers_left.load(std::memory_order_acquire) > 0) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -98,7 +102,7 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
       w0_in.store(true, std::memory_order_release);
       si::util::Backoff b;
       while (!w3_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -232,9 +236,7 @@ TEST(Fig3_RawRotAnomaly, UnrepeatableReadHappensWithoutSafetyWait) {
 // writer: the reader's access during the writer's wait invalidates its write
 // entry, and the reader sees the original value both times.
 TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 4;
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = 4});
   Cell x;
   std::uint64_t first = ~0ull, second = ~0ull;
   std::atomic<bool> reader_started{false};
@@ -245,7 +247,7 @@ TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
       first = tx.read(&x.v);
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.state_of(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != kStateCompleted) b.pause();
       second = tx.read(&x.v);  // invalidates r1's write entry: r1 aborts
     });
   });
@@ -267,9 +269,7 @@ TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
 // Figure 4B: the writer safety-waits, the concurrent transaction reads a
 // *different* location; once it completes, the writer commits — no aborts.
 TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 4;
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = 4});
   Cell x, y;
   y.v = 3;
   std::atomic<bool> reader_started{false};
@@ -280,7 +280,7 @@ TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
     cc.execute(false, [&](auto& tx) {
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.state_of(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != kStateCompleted) b.pause();
       r0_saw_y = tx.read(&y.v);  // disjoint from r1's write set
     });
   });
@@ -309,7 +309,7 @@ TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
 // Algorithm 1 by hand to freeze t1 between snapshot and HTMEnd.
 TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
   HtmRuntime rt{HtmConfig{}};
-  si::sihtm::StateTable state(4);
+  si::protocol::StateTable state(4);
   si::util::LogicalClock clock;
   Cell x;
 
@@ -323,16 +323,16 @@ TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
     rt.store(&x.v, std::uint64_t{1});
     // TxEnd by hand: publish completed, snapshot (t2 is inactive: no wait).
     rt.suspend();
-    state.set(1, si::sihtm::kCompleted);
+    state.set(1, kStateCompleted);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     rt.resume();
     std::uint64_t snapshot[4];
     state.snapshot(snapshot);
-    EXPECT_LE(snapshot[2], si::sihtm::kCompleted);  // t2 not active yet
+    EXPECT_LE(snapshot[2], kStateCompleted);  // t2 not active yet
     t1_snapshotted.store(true, std::memory_order_release);
     await(t2_started);  // t2 begins *between* our snapshot and HTMEnd
     rt.commit();        // HTMEnd
-    state.set(1, si::sihtm::kInactive);
+    state.set(1, kStateInactive);
     t1_ended.store(true, std::memory_order_release);
   });
   std::thread t2([&] {
@@ -344,7 +344,7 @@ TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
     await(t1_ended);
     t2_saw = rt.load(&x.v);  // after t1's HTMEnd: sees the committed 1
     rt.commit();
-    state.set(2, si::sihtm::kInactive);
+    state.set(2, kStateInactive);
   });
   t1.join();
   t2.join();

@@ -8,13 +8,14 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using namespace si::sihtm;
 using si::p8::TxAbort;
 using si::util::AbortCause;
 using si::util::kLineSize;
@@ -23,12 +24,12 @@ struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
 };
 
-SiHtmConfig small_cfg(int retries = 10) {
-  SiHtmConfig cfg;
-  cfg.max_threads = 16;
-  cfg.retries = retries;
-  return cfg;
-}
+using si::protocol::RealSubstrate;
+using SiHtm =
+    si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>;
+using si::protocol::kStateCompleted;
+using si::protocol::kStateInactive;
+
 
 void await(const std::atomic<bool>& flag) {
   si::util::Backoff b;
@@ -36,7 +37,7 @@ void await(const std::atomic<bool>& flag) {
 }
 
 TEST(SiHtmPaths, ReadOnlyFastPath) {
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   cc.register_thread(0);
   std::vector<Cell> cells(1000);
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].v = i;
@@ -49,15 +50,15 @@ TEST(SiHtmPaths, ReadOnlyFastPath) {
   const auto& st = cc.thread_stats()[0];
   EXPECT_EQ(st.commits, 1u);
   EXPECT_EQ(st.ro_commits, 1u);  // unlimited read footprint, no hardware tx
-  EXPECT_EQ(cc.state_of(0), kInactive);
+  EXPECT_EQ(cc.substrate().state(0), kStateInactive);
 }
 
 TEST(SiHtmPaths, UpdatePathCommitsViaRot) {
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) {
-    EXPECT_EQ(tx.path(), si::sihtm::SiHtmTx::Path::kRot);
+    EXPECT_EQ(tx.path(), SiHtm::Tx::Path::kRot);
     tx.write(&x.v, std::uint64_t{11});
   });
   EXPECT_EQ(x.v, 11u);
@@ -70,7 +71,7 @@ TEST(SiHtmPaths, UpdatePathCommitsViaRot) {
 TEST(SiHtmPaths, LargeReadSetUpdateTxCommits) {
   // The headline capacity property: an update transaction whose *read* set
   // vastly exceeds the TMCAM commits on the ROT path (only writes count).
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   cc.register_thread(0);
   std::vector<Cell> cells(500);
   Cell out;
@@ -87,7 +88,7 @@ TEST(SiHtmPaths, LargeReadSetUpdateTxCommits) {
 }
 
 TEST(SiHtmPaths, OversizedWriteSetFallsBackToSgl) {
-  SiHtm cc(small_cfg(3));
+  SiHtm cc({.max_threads = 16}, {.retries = 3});
   cc.register_thread(0);
   std::vector<Cell> cells(100);  // 100 written lines > 64 TMCAM entries
   cc.execute(false, [&](auto& tx) {
@@ -104,7 +105,7 @@ TEST(SiHtmPaths, OversizedWriteSetFallsBackToSgl) {
 TEST(SiHtmSemantics, WriteSkewIsAllowed) {
   // SI's defining anomaly: both transactions read {x, y} from the same
   // snapshot and write disjoint locations; SI (and SI-HTM) commits both.
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   Cell x, y;
   x.v = 1;
   y.v = 1;
@@ -148,7 +149,7 @@ TEST(SiHtmSemantics, NoUnrepeatableReadAcrossConcurrentCommit) {
   // before a writer's commit keeps seeing the old value; the writer's safety
   // wait holds its HTMEnd until the reader is done (or the reader's access
   // kills it, Fig. 4A).
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   Cell x;
   std::atomic<bool> writer_waiting{false};
   std::uint64_t first = ~0ull, second = ~0ull;
@@ -161,14 +162,14 @@ TEST(SiHtmSemantics, NoUnrepeatableReadAcrossConcurrentCommit) {
       // Wait until the writer has completed (state == completed) and is
       // parked in its safety wait on us.
       si::util::Backoff b;
-      while (cc.state_of(1) != kCompleted) b.pause();
+      while (cc.substrate().state(1) != kStateCompleted) b.pause();
       second = tx.read(&x.v);
     });
   });
   std::thread writer([&] {
     cc.register_thread(1);
     si::util::Backoff b;
-    while (cc.state_of(0) <= kCompleted) b.pause();  // reader active?
+    while (cc.substrate().state(0) <= kStateCompleted) b.pause();  // reader active?
     cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{1}); });
   });
   reader.join();
@@ -182,7 +183,7 @@ TEST(SiHtmSemantics, ReadOnlySnapshotIsConsistentUnderUpdates) {
   // Invariant-preserving updates + concurrent RO scans: every scan must see
   // the invariant hold (sum conserved), which fails if RO reads ever observe
   // uncommitted or mid-commit state.
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   constexpr int kCells = 12;
   constexpr std::uint64_t kInitial = 100;
   std::vector<Cell> cells(kCells);
@@ -221,7 +222,7 @@ TEST(SiHtmSemantics, ReadOnlySnapshotIsConsistentUnderUpdates) {
 }
 
 TEST(SiHtmSgl, HolderDrainsAndBlocksNewTransactions) {
-  SiHtm cc(small_cfg(1));
+  SiHtm cc({.max_threads = 16}, {.retries = 1});
   std::vector<Cell> big(100);
   Cell marker;
   std::atomic<bool> in_sgl{false}, observed{false};
@@ -231,7 +232,7 @@ TEST(SiHtmSgl, HolderDrainsAndBlocksNewTransactions) {
     cc.register_thread(0);
     cc.execute(false, [&](auto& tx) {
       for (auto& c : big) tx.write(&c.v, std::uint64_t{1});  // forces SGL
-      if (tx.path() == si::sihtm::SiHtmTx::Path::kSgl) {
+      if (tx.path() == SiHtm::Tx::Path::kSgl) {
         in_sgl.store(true, std::memory_order_release);
         await(observed);
         tx.write(&marker.v, std::uint64_t{42});
@@ -265,7 +266,7 @@ TEST(SiHtmSgl, HolderDrainsAndBlocksNewTransactions) {
 TEST(SiHtmStress, ConcurrentTransfersConserveTotal) {
   // Transfers write both accounts, so any SI anomaly would be a write-write
   // conflict; SI-HTM must keep the global balance exact.
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   constexpr int kAccounts = 16;
   constexpr int kThreads = 4;
   constexpr int kOps = 1500;
@@ -302,7 +303,7 @@ TEST(SiHtmStress, ConcurrentTransfersConserveTotal) {
 }
 
 TEST(SiHtmStress, MixedReadersAndWritersStayConsistent) {
-  SiHtm cc(small_cfg());
+  SiHtm cc({.max_threads = 16});
   constexpr int kCells = 8;
   constexpr std::uint64_t kInitial = 50;
   std::vector<Cell> cells(kCells);

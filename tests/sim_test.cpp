@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "hashmap/workload.hpp"
-#include "sim/backends.hpp"
+#include "protocol/htm_sgl_core.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "tpcc/workload.hpp"
@@ -18,6 +23,12 @@ namespace {
 using namespace si::sim;
 using si::util::AbortCause;
 using si::util::kLineSize;
+using si::protocol::SimSubstrate;
+using si::runtime::Backend;
+using SiHtm =
+    si::protocol::Machine<si::protocol::SiHtmCore<SimSubstrate>, SimSubstrate>;
+using HtmSgl =
+    si::protocol::Machine<si::protocol::HtmSglCore<SimSubstrate>, SimSubstrate>;
 
 struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
@@ -227,9 +238,9 @@ TEST(SimHtmModel, ReadKillsActiveWriter) {
 
 // --- protocol engines ---------------------------------------------------
 
-TEST(SimSiHtmTest, LargeReadOnlyAndUpdateCommit) {
+TEST(SiHtmSimTest, LargeReadOnlyAndUpdateCommit) {
   SimEngine eng(machine(), 1);
-  SimSiHtm cc(eng);
+  SiHtm cc(eng);
   std::vector<Cell> cells(500);
   Cell out;
   eng.run(1e9, [&](int) {
@@ -253,9 +264,9 @@ TEST(SimSiHtmTest, LargeReadOnlyAndUpdateCommit) {
   EXPECT_EQ(st.aborts_by_cause[static_cast<int>(AbortCause::kCapacity)], 0u);
 }
 
-TEST(SimSiHtmTest, OversizedWriteSetTakesSgl) {
+TEST(SiHtmSimTest, OversizedWriteSetTakesSgl) {
   SimEngine eng(machine(), 1);
-  SimSiHtm cc(eng, /*retries=*/2);
+  SiHtm cc(eng, {}, {.retries = 2});
   std::vector<Cell> cells(100);
   eng.run(1e9, [&](int) {
     cc.execute(false, [&](auto& tx) {
@@ -271,9 +282,9 @@ TEST(SimSiHtmTest, OversizedWriteSetTakesSgl) {
   EXPECT_EQ(eng.stats(0).aborts_by_cause[static_cast<int>(AbortCause::kCapacity)], 1u);
 }
 
-TEST(SimHtmSglTest, LargeReadSetFallsBackWithCapacityAborts) {
+TEST(HtmSglSimTest, LargeReadSetFallsBackWithCapacityAborts) {
   SimEngine eng(machine(), 1);
-  SimHtmSgl cc(eng, /*retries=*/3);
+  HtmSgl cc(eng, {}, {.retries = 3});
   std::vector<Cell> cells(200);
   eng.run(1e9, [&](int) {
     cc.execute(false, [&](auto& tx) {
@@ -288,27 +299,32 @@ TEST(SimHtmSglTest, LargeReadSetFallsBackWithCapacityAborts) {
   EXPECT_EQ(eng.stats(0).aborts_by_cause[static_cast<int>(AbortCause::kCapacity)], 1u);
 }
 
-template <typename MakeBackend>
-void run_transfer_invariant(MakeBackend make) {
+void run_transfer_invariant(Backend backend) {
   SimEngine eng(machine(), 8);
-  auto cc = make(eng);
+  auto m = si::runtime::make_machine<SimSubstrate>(
+      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
   constexpr int kAccounts = 12;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 1000;
   std::vector<si::util::Xoshiro256> rngs;
   for (int t = 0; t < 8; ++t) rngs.emplace_back(31 + t);
 
-  eng.run(3e6, [&](int tid) {  // 3 ms of virtual time
-    auto& rng = rngs[static_cast<std::size_t>(tid)];
-    const int from = static_cast<int>(rng.below(kAccounts));
-    const int to = static_cast<int>((from + 1 + rng.below(kAccounts - 1)) % kAccounts);
-    cc->execute(false, [&](auto& tx) {
-      const auto f = tx.read(&accounts[from].v);
-      const auto g = tx.read(&accounts[to].v);
-      tx.write(&accounts[from].v, f - 1);
-      tx.write(&accounts[to].v, g + 1);
-    });
-  });
+  std::visit(
+      [&](auto& cc) {
+        eng.run(3e6, [&](int tid) {  // 3 ms of virtual time
+          auto& rng = rngs[static_cast<std::size_t>(tid)];
+          const int from = static_cast<int>(rng.below(kAccounts));
+          const int to = static_cast<int>(
+              (from + 1 + rng.below(kAccounts - 1)) % kAccounts);
+          cc.execute(false, [&](auto& tx) {
+            const auto f = tx.read(&accounts[from].v);
+            const auto g = tx.read(&accounts[to].v);
+            tx.write(&accounts[from].v, f - 1);
+            tx.write(&accounts[to].v, g + 1);
+          });
+        });
+      },
+      m);
 
   std::uint64_t total = 0, commits = 0;
   for (auto& a : accounts) total += a.v;
@@ -318,21 +334,21 @@ void run_transfer_invariant(MakeBackend make) {
 }
 
 TEST(SimProtocolInvariants, SiHtmTransfersConserve) {
-  run_transfer_invariant([](SimEngine& e) { return std::make_unique<SimSiHtm>(e); });
+  run_transfer_invariant(Backend::kSiHtm);
 }
 TEST(SimProtocolInvariants, HtmTransfersConserve) {
-  run_transfer_invariant([](SimEngine& e) { return std::make_unique<SimHtmSgl>(e); });
+  run_transfer_invariant(Backend::kHtm);
 }
 TEST(SimProtocolInvariants, P8tmTransfersConserve) {
-  run_transfer_invariant([](SimEngine& e) { return std::make_unique<SimP8tm>(e); });
+  run_transfer_invariant(Backend::kP8tm);
 }
 TEST(SimProtocolInvariants, SiloTransfersConserve) {
-  run_transfer_invariant([](SimEngine& e) { return std::make_unique<SimSilo>(e); });
+  run_transfer_invariant(Backend::kSilo);
 }
 
-TEST(SimSiHtmTest, ReadOnlySnapshotsStayConsistent) {
+TEST(SiHtmSimTest, ReadOnlySnapshotsStayConsistent) {
   SimEngine eng(machine(), 4);
-  SimSiHtm cc(eng);
+  SiHtm cc(eng);
   constexpr int kCells = 10;
   std::vector<Cell> cells(kCells);
   for (auto& c : cells) c.v = 100;
@@ -366,7 +382,8 @@ TEST(SimSiHtmTest, ReadOnlySnapshotsStayConsistent) {
 // --- workloads on the simulator -------------------------------------------
 
 TEST(SimWorkloads, HashMapRunsOnAllSimBackends) {
-  for (int which = 0; which < 4; ++which) {
+  for (Backend backend :
+       {Backend::kSiHtm, Backend::kHtm, Backend::kP8tm, Backend::kSilo}) {
     SimEngine eng(machine(), 8);
     si::hashmap::WorkloadConfig wcfg;
     wcfg.buckets = 50;
@@ -375,27 +392,22 @@ TEST(SimWorkloads, HashMapRunsOnAllSimBackends) {
     si::hashmap::Workload w(wcfg, 8);
     const std::size_t seeded = w.map().count();
 
-    auto drive = [&](auto& cc) {
-      eng.run(2e6, [&](int tid) { w.step(cc, tid); });
-    };
-    switch (which) {
-      case 0: { SimSiHtm cc(eng); drive(cc); break; }
-      case 1: { SimHtmSgl cc(eng); drive(cc); break; }
-      case 2: { SimP8tm cc(eng); drive(cc); break; }
-      case 3: { SimSilo cc(eng); drive(cc); break; }
-    }
+    auto m = si::runtime::make_machine<SimSubstrate>(
+        backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+    std::visit(
+        [&](auto& cc) { eng.run(2e6, [&](int tid) { w.step(cc, tid); }); }, m);
     std::uint64_t commits = 0;
     for (int t = 0; t < 8; ++t) commits += eng.stats(t).commits;
-    EXPECT_GT(commits, 50u) << "backend " << which;
+    EXPECT_GT(commits, 50u) << to_string(backend);
     // Size stationary within one outstanding insert per thread.
     EXPECT_NEAR(static_cast<double>(w.map().count()), static_cast<double>(seeded), 8.0)
-        << "backend " << which;
+        << to_string(backend);
   }
 }
 
-TEST(SimWorkloads, TpccConsistencyOnSimSiHtm) {
+TEST(SimWorkloads, TpccConsistencyOnSiHtm) {
   SimEngine eng(machine(), 8);
-  SimSiHtm cc(eng);
+  SiHtm cc(eng);
   si::tpcc::DbConfig dcfg;
   dcfg.warehouses = 2;
   dcfg.items = 200;
@@ -417,7 +429,7 @@ TEST(SimWorkloads, TpccConsistencyOnSimSiHtm) {
 TEST(SimDeterminism, IdenticalRunsProduceIdenticalStats) {
   auto run_once = [] {
     SimEngine eng(machine(), 8);
-    SimSiHtm cc(eng);
+    SiHtm cc(eng);
     si::hashmap::WorkloadConfig wcfg;
     wcfg.buckets = 20;
     wcfg.avg_chain = 8;

@@ -13,7 +13,9 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/real_substrate.hpp"
+#include "protocol/sihtm_core.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
@@ -22,6 +24,9 @@ namespace {
 using namespace si::p8;
 using si::util::AbortCause;
 using si::util::kLineSize;
+using si::protocol::RealSubstrate;
+using SiHtm =
+    si::protocol::Machine<si::protocol::SiHtmCore<RealSubstrate>, RealSubstrate>;
 
 struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
@@ -229,10 +234,7 @@ TEST(StressFastPath, OwnedLineHammerUntornWithIdenticalCommits) {
 }
 
 TEST(StressMixed, SiHtmSurvivesAdversarialMixAndStaysConsistent) {
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = 6;
-  cfg.retries = 3;
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = 6}, {.retries = 3});
   constexpr int kCells = 6;
   constexpr std::uint64_t kInitial = 500;
   std::vector<Cell> cells(kCells);
@@ -335,11 +337,9 @@ TEST(StressObs, TracedAdversarialMixStaysBalanced) {
   constexpr int kThreads = 4;
   si::obs::Tracer tracer(kThreads);
   si::obs::Metrics metrics(kThreads);
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = kThreads;
-  cfg.retries = 3;
-  cfg.obs = si::obs::ObsConfig{&tracer, &metrics};
-  si::sihtm::SiHtm cc(cfg);
+  SiHtm cc({.max_threads = kThreads,
+            .obs = si::obs::ObsConfig{&tracer, &metrics}},
+           {.retries = 3});
   std::vector<Cell> cells(8);
 
   std::vector<std::thread> threads;

@@ -20,12 +20,14 @@
 #include "obs/taxonomy.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "protocol/machine.hpp"
+#include "protocol/sihtm_core.hpp"
+#include "protocol/sim_substrate.hpp"
 #include "serve/admin.hpp"
 #include "serve/kv_app.hpp"
 #include "serve/net.hpp"
 #include "serve/service.hpp"
 #include "serve/telemetry.hpp"
-#include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/histogram.hpp"
 #include "util/json_parse.hpp"
@@ -503,7 +505,9 @@ SimObsRun run_sim(bool with_tracer, bool with_metrics, int threads = 4,
   if (with_tracer) obs.tracer = &tracer;
   if (with_metrics) obs.metrics = &metrics;
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, threads);
-  si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
+  si::protocol::Machine<si::protocol::SiHtmCore<si::protocol::SimSubstrate>,
+                        si::protocol::SimSubstrate>
+      cc(eng, {.obs = obs});
   si::hashmap::WorkloadConfig wcfg;
   wcfg.buckets = 8;  // small table: plenty of conflicts and SGL traffic
   wcfg.avg_chain = 16;

@@ -129,7 +129,9 @@ TEST(TpccRing, OrderRingWrapsWithoutCorruption) {
   EXPECT_EQ(next, 20 + 200 + 1);
   // The most recent ring window carries exactly the latest o_ids.
   for (std::int64_t o = next - db.order_ring_capacity(); o < next; ++o) {
-    if (o >= 1) EXPECT_EQ(db.order_slot(1, 1, o).o_id, o);
+    if (o >= 1) {
+      EXPECT_EQ(db.order_slot(1, 1, o).o_id, o);
+    }
   }
 }
 

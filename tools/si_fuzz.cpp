@@ -17,6 +17,7 @@
 #include "check/fuzzer.hpp"
 #include "check/history.hpp"
 #include "check/verify.hpp"
+#include "runtime/backend.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -42,8 +43,7 @@ int main(int argc, char** argv) {
 
   si::check::FuzzConfig cfg;
   try {
-    cfg.backend =
-        si::check::fuzz_backend_from_string(cli.get("backend", "si-htm"));
+    cfg.backend = si::runtime::backend_from_string(cli.get("backend", "si-htm"));
     cfg.structure =
         si::check::fuzz_struct_from_string(cli.get("struct", "ledger"));
   } catch (const std::exception& e) {

@@ -21,15 +21,16 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "hashmap/workload.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "protocol/sim_substrate.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
-#include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "tpcc/workload.hpp"
 #include "util/cli.hpp"
@@ -80,35 +81,15 @@ std::uint64_t run_traced(const Options& opt, const si::obs::ObsConfig& obs,
   si::sim::SimMachineConfig mcfg;  // the paper's machine: 10 cores, SMT-8
   si::sim::SimEngine eng(mcfg, opt.threads);
   auto workload = make_workload(opt.threads);
-  auto drive = [&](auto& cc) {
-    return eng
-        .run(opt.virtual_ns, [&](int tid) { workload->step(cc, tid); })
-        .totals.commits;
-  };
-  using si::runtime::Backend;
-  switch (opt.backend) {
-    case Backend::kHtm: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kP8tm: {
-      si::sim::SimP8tm cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kSilo: {
-      si::sim::SimSilo cc(eng, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kRawRot: {
-      si::sim::SimRawRot cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-  }
-  return 0;
+  auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
+      opt.backend, 10, {}, eng, si::protocol::SimSubstrateConfig{.obs = obs});
+  return std::visit(
+      [&](auto& cc) {
+        return eng
+            .run(opt.virtual_ns, [&](int tid) { workload->step(cc, tid); })
+            .totals.commits;
+      },
+      machine);
 }
 
 void print_metrics(const si::obs::MetricsSnapshot& m) {
