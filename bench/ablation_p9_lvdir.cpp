@@ -20,7 +20,7 @@ si::util::RunStats run_machine(const si::sim::SimMachineConfig& mcfg,
   si::sim::SimEngine eng(mcfg, threads);
   si::hashmap::Workload w(wcfg, threads);
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      si_htm ? si::runtime::Backend::kSiHtm : si::runtime::Backend::kHtm, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+      si_htm ? si::runtime::Backend::kSiHtm : si::runtime::Backend::kHtm, 10, eng, si::protocol::SimSubstrateConfig{});
   return std::visit(
       [&](auto& cc) {
         return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });

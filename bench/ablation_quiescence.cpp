@@ -22,7 +22,7 @@ si::util::RunStats run_with(si::runtime::Backend backend,
   si::sim::SimEngine eng(mcfg, threads);
   si::hashmap::Workload w(wcfg, threads);
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+      backend, 10, eng, si::protocol::SimSubstrateConfig{});
   return std::visit(
       [&](auto& cc) {
         return eng.run(virtual_ns, [&](int tid) { w.step(cc, tid); });

@@ -260,7 +260,7 @@ si::util::RunStats run_point(si::runtime::Backend system, int threads,
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      system, 10, {}, eng, si::protocol::SimSubstrateConfig{.obs = obs});
+      system, 10, eng, si::protocol::SimSubstrateConfig{.obs = obs});
   return std::visit(
       [&](auto& cc) {
         return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });

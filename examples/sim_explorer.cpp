@@ -30,7 +30,7 @@ si::util::RunStats run_point(si::runtime::Backend backend, int threads,
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+      backend, 10, eng, si::protocol::SimSubstrateConfig{});
   return std::visit(
       [&](auto& cc) {
         return eng.run(duration_ns,

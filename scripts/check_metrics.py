@@ -45,7 +45,6 @@ TAXONOMY_CAUSES = {
     "explicit_abort",
     "sgl_fallback",
     "shared_ro_admit",
-    "retry_clamp",
     "hw_kill_initiated",
 }
 

@@ -353,7 +353,7 @@ inline ScheduleReport run_schedule_with(const FuzzConfig& cfg,
   w.record_init(rec);
 
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      cfg.backend, cfg.retries, {}, eng,
+      cfg.backend, cfg.retries, eng,
       si::protocol::SimSubstrateConfig{
           .straggler_kill_after_ns = cfg.straggler_kill_after_ns,
           .recorder = &rec});

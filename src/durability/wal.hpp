@@ -22,8 +22,16 @@
 //
 // The durable LSN only advances after the covering write (and fsync, in the
 // sync modes) returned, which is exactly the ack-gating contract: a response
-// whose LSN is <= durable_lsn() may be released to the client. On an I/O
-// error the durable LSN stops advancing — held acks stall rather than lie.
+// whose LSN is <= durable_lsn() may be released to the client.
+//
+// The first failed write or fdatasync poisons the log for good (fail-stop):
+// the durable LSN never moves again and later flush() calls do no I/O. A
+// retry cannot be trusted — the failed batch may have left a partial record
+// or a hole, and recovery stops at the first gap, so records written after
+// it would be acked yet unrecoverable; a failed fdatasync may also have
+// dropped the dirty pages it was asked to persist. The records the log can
+// no longer make durable are answered kFailed by Service::stop(), never OK;
+// the only way back is a restart with -recover.
 //
 // open() on an existing file scans it (log_format.hpp), truncates the torn
 // tail, and continues LSNs from the last trusted record — the post-recovery
@@ -221,12 +229,17 @@ class ShardLog {
 
   /// Writes (and in the sync modes, fsyncs) everything appended so far, then
   /// advances the durable LSN. Called only by the group-commit daemon; the
-  /// I/O happens outside the append mutex.
+  /// I/O happens outside the append mutex. After the first I/O error it only
+  /// discards what was appended: the log is poisoned (see the header).
   void flush() {
     std::vector<unsigned char> batch;
     std::uint64_t target = 0;
     {
       std::lock_guard<std::mutex> g(mu_);
+      if (failed_.load(std::memory_order_relaxed)) {
+        pending_.clear();
+        return;
+      }
       if (pending_.empty()) return;
       batch.swap(pending_);
       target = appended_lsn_.load(std::memory_order_relaxed);
@@ -243,9 +256,10 @@ class ShardLog {
       if (ok) fsyncs_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!ok) {
-      // Keep durable_lsn where it is: the held acks covering this batch
-      // stall instead of acknowledging writes that never reached the disk.
+      // Freeze durable_lsn where it is, for good: the acks covering this
+      // batch and every later one are never released as OK.
       io_errors_.fetch_add(1, std::memory_order_relaxed);
+      failed_.store(true, std::memory_order_relaxed);
       return;
     }
     flushes_.fetch_add(1, std::memory_order_relaxed);
@@ -257,6 +271,10 @@ class ShardLog {
   }
   std::uint64_t durable_lsn() const noexcept {
     return durable_lsn_.load(std::memory_order_acquire);
+  }
+  /// True once a write or fdatasync failed; the log stays poisoned.
+  bool failed() const noexcept {
+    return failed_.load(std::memory_order_relaxed);
   }
 
   ShardLogStats stats() const noexcept {
@@ -380,6 +398,7 @@ class ShardLog {
   std::atomic<std::uint64_t> flushes_{0};
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> io_errors_{0};
+  std::atomic<bool> failed_{false};  ///< poisoned by the first I/O error
   std::atomic<std::uint64_t> appended_lsn_{0};
   std::atomic<std::uint64_t> durable_lsn_{0};
 };

@@ -249,8 +249,8 @@ struct TraceSummary {
   /// Abort taxonomy derived from the trace stream, indexed by
   /// TaxonomyCounter — the same breakdown the live /metrics endpoint
   /// exports, so offline traces and live scrapes diff cleanly. Only the
-  /// trace-derivable counters populate: shared-ro-admit and retry-clamp are
-  /// metrics-only hooks (they emit no trace event by design) and stay 0.
+  /// trace-derivable counters populate: shared-ro-admit is a metrics-only
+  /// hook (it emits no trace event by design) and stays 0.
   std::array<std::uint64_t, kTaxonomyCounters> taxonomy{};
 };
 

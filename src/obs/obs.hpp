@@ -151,8 +151,8 @@ struct ObsConfig {
 
   // --- adaptation events (metrics-only) ---------------------------------------
   //
-  // These two deliberately emit no trace event: they are taxonomy counters
-  // for the live endpoint, and keeping them out of the trace keeps the
+  // This one deliberately emits no trace event: it is a taxonomy counter
+  // for the live endpoint, and keeping it out of the trace keeps the
   // checked-in trace schema and the golden sim traces byte-stable.
 
   /// A read-only transaction was admitted in SGL shared mode during a drain
@@ -160,14 +160,6 @@ struct ObsConfig {
   void ro_shared_admit(int tid) const noexcept {
     if (metrics) {
       metrics->of(tid).taxonomy.bump(TaxonomyCounter::kSharedRoAdmit);
-    }
-  }
-
-  /// The contention-aware retry budget granted fewer attempts than the
-  /// configured maximum for this transaction (protocol/retry_budget.hpp).
-  void retry_clamp(int tid) const noexcept {
-    if (metrics) {
-      metrics->of(tid).taxonomy.bump(TaxonomyCounter::kRetryClamp);
     }
   }
 

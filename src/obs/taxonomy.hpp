@@ -35,7 +35,6 @@ enum class TaxonomyCounter : std::uint8_t {
   kExplicitAbort,      ///< self-aborts (kExplicit and anything unmapped)
   kSglFallback,        ///< transactions that gave up and took the SGL
   kSharedRoAdmit,      ///< RO tx admitted in SGL shared mode during a drain
-  kRetryClamp,         ///< adaptive retry budget granted less than the max
   kHwKillInit,         ///< kills *initiated* by the emulation layer (killer side)
   kCount_,
 };
@@ -53,7 +52,6 @@ inline std::string_view to_string(TaxonomyCounter c) noexcept {
     case TaxonomyCounter::kExplicitAbort: return "explicit-abort";
     case TaxonomyCounter::kSglFallback: return "sgl-fallback";
     case TaxonomyCounter::kSharedRoAdmit: return "shared-ro-admit";
-    case TaxonomyCounter::kRetryClamp: return "retry-clamp";
     case TaxonomyCounter::kHwKillInit: return "hw-kill-initiated";
     case TaxonomyCounter::kCount_: break;
   }
@@ -70,7 +68,6 @@ inline std::string_view metric_name(TaxonomyCounter c) noexcept {
     case TaxonomyCounter::kExplicitAbort: return "explicit_abort";
     case TaxonomyCounter::kSglFallback: return "sgl_fallback";
     case TaxonomyCounter::kSharedRoAdmit: return "shared_ro_admit";
-    case TaxonomyCounter::kRetryClamp: return "retry_clamp";
     case TaxonomyCounter::kHwKillInit: return "hw_kill_initiated";
     case TaxonomyCounter::kCount_: break;
   }

@@ -14,8 +14,6 @@
 
 #include "obs/obs.hpp"
 #include "p8htm/abort.hpp"
-#include "p8htm/topology.hpp"
-#include "protocol/retry_budget.hpp"
 #include "protocol/substrate.hpp"
 #include "util/stats.hpp"
 
@@ -23,7 +21,6 @@ namespace si::protocol {
 
 struct HtmSglCoreConfig {
   int retries = 10;
-  RetryBudgetConfig retry_budget{};
 };
 
 template <Substrate S>
@@ -78,13 +75,7 @@ class HtmSglCore {
     const int tid = sub_.tid();
     si::util::ThreadStats& st = sub_.stats(tid);
 
-    const int retry_budget = cfg_.retry_budget.enabled
-                                 ? budgets_[tid].budget(cfg_.retry_budget)
-                                 : cfg_.retries;
-    if (cfg_.retry_budget.enabled && retry_budget < cfg_.retry_budget.max_retries) {
-      if (const auto* o = sub_.obs()) o->retry_clamp(tid);
-    }
-    for (int attempt = 0; attempt < retry_budget; ++attempt) {
+    for (int attempt = 0; attempt < cfg_.retries; ++attempt) {
       // Don't waste an attempt on a held SGL: sleep (slim lock) until free.
       sub_.gl_wait_unlocked(st);
       sub_.pre_begin(HwMode::kHtm);
@@ -116,11 +107,9 @@ class HtmSglCore {
       }
       sub_.gl_unsubscribe();
       if (committed) {
-        if (cfg_.retry_budget.enabled) budgets_[tid].on_commit(cfg_.retry_budget);
         ++st.commits;
         return;
       }
-      if (cfg_.retry_budget.enabled) budgets_[tid].on_abort(cfg_.retry_budget, cause);
       if (cause == si::util::AbortCause::kCapacity) {
         break;  // persistent failure: retrying cannot help, take the SGL
       }
@@ -148,7 +137,7 @@ class HtmSglCore {
     Tx tx(sub_, /*hw=*/false);
     body(tx);
     rec_commit(tid);
-    obs_commit(tid, ot0, static_cast<std::uint32_t>(retry_budget + 1));
+    obs_commit(tid, ot0, static_cast<std::uint32_t>(cfg_.retries + 1));
     sub_.gl_unlock();
     if (const auto* o = sub_.obs()) o->sgl_release(tid, sub_.obs_now(), t_acq);
     ++st.commits;
@@ -156,12 +145,6 @@ class HtmSglCore {
   }
 
   S& substrate() noexcept { return sub_; }
-
-  /// Test accessors for the contention-aware retry budget.
-  double abort_ewma_of(int tid) const { return budgets_[tid].abort_ewma(); }
-  int retry_budget_of(int tid) const {
-    return budgets_[tid].budget(cfg_.retry_budget);
-  }
 
  private:
   void rec_begin(int tid) {
@@ -191,7 +174,6 @@ class HtmSglCore {
 
   S& sub_;
   HtmSglCoreConfig cfg_;
-  RetryBudget budgets_[si::p8::kMaxThreads];
 };
 
 }  // namespace si::protocol

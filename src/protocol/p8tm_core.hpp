@@ -29,7 +29,6 @@
 #include "obs/obs.hpp"
 #include "p8htm/abort.hpp"
 #include "p8htm/topology.hpp"
-#include "protocol/retry_budget.hpp"
 #include "protocol/substrate.hpp"
 #include "protocol/version_table.hpp"
 #include "util/cacheline.hpp"
@@ -40,7 +39,6 @@ namespace si::protocol {
 struct P8tmCoreConfig {
   int retries = 10;
   unsigned version_table_bits = 20;
-  RetryBudgetConfig retry_budget{};
 };
 
 template <Substrate S>
@@ -134,13 +132,7 @@ class P8tmCore {
       return;
     }
 
-    const int retry_budget = cfg_.retry_budget.enabled
-                                 ? budgets_[tid].budget(cfg_.retry_budget)
-                                 : cfg_.retries;
-    if (cfg_.retry_budget.enabled && retry_budget < cfg_.retry_budget.max_retries) {
-      if (const auto* o = sub_.obs()) o->retry_clamp(tid);
-    }
-    for (int attempt = 0; attempt < retry_budget; ++attempt) {
+    for (int attempt = 0; attempt < cfg_.retries; ++attempt) {
       sync_with_gl(st);
       Log& log = log_of(tid);
       log.reads.clear();
@@ -164,11 +156,9 @@ class P8tmCore {
         cause = abort.cause;
       }
       if (committed) {
-        if (cfg_.retry_budget.enabled) budgets_[tid].on_commit(cfg_.retry_budget);
         ++st.commits;
         return;
       }
-      if (cfg_.retry_budget.enabled) budgets_[tid].on_abort(cfg_.retry_budget, cause);
       sub_.set_inactive();
       if (cause == si::util::AbortCause::kCapacity) {
         break;  // persistent failure: retrying cannot help, take the SGL
@@ -207,7 +197,7 @@ class P8tmCore {
     // readers that overlapped the drain cannot validate stale reads.
     for (const auto& w : log.writes) versions_.bump(w);
     rec_commit(tid);
-    obs_commit(tid, ot0, static_cast<std::uint32_t>(retry_budget + 1));
+    obs_commit(tid, ot0, static_cast<std::uint32_t>(cfg_.retries + 1));
     sub_.gl_unlock();
     if (const auto* o = sub_.obs()) o->sgl_release(tid, sub_.obs_now(), t_acq);
     ++st.commits;
@@ -215,12 +205,6 @@ class P8tmCore {
   }
 
   S& substrate() noexcept { return sub_; }
-
-  /// Test accessors for the contention-aware retry budget.
-  double abort_ewma_of(int tid) const { return budgets_[tid].abort_ewma(); }
-  int retry_budget_of(int tid) const {
-    return budgets_[tid].budget(cfg_.retry_budget);
-  }
 
  private:
   friend class Tx;
@@ -333,7 +317,6 @@ class P8tmCore {
   P8tmCoreConfig cfg_;
   VersionTable versions_;
   std::vector<Log> logs_;
-  RetryBudget budgets_[si::p8::kMaxThreads];
 };
 
 }  // namespace si::protocol

@@ -25,7 +25,6 @@
 #include "obs/obs.hpp"
 #include "p8htm/abort.hpp"
 #include "p8htm/topology.hpp"
-#include "protocol/retry_budget.hpp"
 #include "protocol/substrate.hpp"
 #include "util/stats.hpp"
 
@@ -33,9 +32,6 @@ namespace si::protocol {
 
 struct SiHtmCoreConfig {
   int retries = 10;  ///< ROT attempts before the SGL (ignored by raw-ROT)
-  /// Contention-aware budget replacing the static `retries` when enabled
-  /// (protocol/retry_budget.hpp).
-  RetryBudgetConfig retry_budget{};
 };
 
 template <Substrate S, bool SafetyWait = true>
@@ -129,15 +125,7 @@ class SiHtmCore {
       return;
     }
 
-    // Static budget by default; the contention-aware budget reads the
-    // thread's abort EWMA once per transaction when enabled.
-    const int retry_budget = cfg_.retry_budget.enabled
-                                 ? budgets_[tid].budget(cfg_.retry_budget)
-                                 : cfg_.retries;
-    if (cfg_.retry_budget.enabled && retry_budget < cfg_.retry_budget.max_retries) {
-      if (const auto* o = sub_.obs()) o->retry_clamp(tid);
-    }
-    for (int attempt = 0; !SafetyWait || attempt < retry_budget; ++attempt) {
+    for (int attempt = 0; !SafetyWait || attempt < cfg_.retries; ++attempt) {
       if constexpr (SafetyWait) sync_with_gl(st);
       sub_.pre_begin(HwMode::kRot);
       rec_begin(tid, /*ro=*/false);
@@ -167,12 +155,8 @@ class SiHtmCore {
         cause = abort.cause;
       }
       if (committed) {
-        if (cfg_.retry_budget.enabled) budgets_[tid].on_commit(cfg_.retry_budget);
         ++st.commits;
         return;
-      }
-      if (cfg_.retry_budget.enabled) {
-        budgets_[tid].on_abort(cfg_.retry_budget, cause);
       }
       if constexpr (SafetyWait) {
         sub_.set_inactive();
@@ -223,7 +207,7 @@ class SiHtmCore {
       Tx tx(sub_, TxPath::kSgl);
       body(tx);
       rec_commit(tid);
-      obs_commit(tid, ot0, static_cast<std::uint32_t>(retry_budget + 1));
+      obs_commit(tid, ot0, static_cast<std::uint32_t>(cfg_.retries + 1));
       sub_.gl_unlock();
       if (const auto* o = sub_.obs()) o->sgl_release(tid, sub_.obs_now(), t_acq);
       ++st.commits;
@@ -236,15 +220,6 @@ class SiHtmCore {
 
   S& substrate() noexcept { return sub_; }
   const SiHtmCoreConfig& core_config() const noexcept { return cfg_; }
-
-  /// Exposed for tests: a thread's current abort EWMA and budget.
-  double abort_ewma_of(int tid) const noexcept {
-    return budgets_[tid].abort_ewma();
-  }
-  int retry_budget_of(int tid) const noexcept {
-    return cfg_.retry_budget.enabled ? budgets_[tid].budget(cfg_.retry_budget)
-                                     : cfg_.retries;
-  }
 
  private:
   /// SyncWithGL (Algorithm 2, lines 1-9): announce an active timestamp, then
@@ -394,8 +369,6 @@ class SiHtmCore {
 
   S& sub_;
   SiHtmCoreConfig cfg_;
-  /// Per-tid contention state (owner-thread writes only; padded slots).
-  RetryBudget budgets_[si::p8::kMaxThreads];
 };
 
 /// The ablated transcription under its own name, so instantiation sites read

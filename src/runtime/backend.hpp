@@ -19,7 +19,6 @@
 #include "protocol/htm_sgl_core.hpp"
 #include "protocol/machine.hpp"
 #include "protocol/p8tm_core.hpp"
-#include "protocol/retry_budget.hpp"
 #include "protocol/sihtm_core.hpp"
 #include "protocol/silo_core.hpp"
 
@@ -62,23 +61,21 @@ using Machines = std::variant<
 
 /// Builds backend `b` over substrate S, in place. `sub` is the substrate's
 /// constructor arguments: its config on real threads, the engine and the
-/// config in the simulator. `retries` and `budget` drive the HTM, SI-HTM and
-/// P8TM fall-back; Silo retries until commit and raw-ROT never falls back.
+/// config in the simulator. `retries` drives the HTM, SI-HTM and P8TM
+/// fall-back; Silo retries until commit and raw-ROT never falls back.
 template <typename S, typename... SubArgs>
-Machines<S> make_machine(Backend b, int retries,
-                         const si::protocol::RetryBudgetConfig& budget,
-                         SubArgs&&... sub) {
+Machines<S> make_machine(Backend b, int retries, SubArgs&&... sub) {
   namespace p = si::protocol;
   switch (b) {
     case Backend::kHtm:
       return Machines<S>(std::in_place_index<0>, std::forward<SubArgs>(sub)...,
-                         p::HtmSglCoreConfig{retries, budget});
+                         p::HtmSglCoreConfig{retries});
     case Backend::kSiHtm:
       return Machines<S>(std::in_place_index<1>, std::forward<SubArgs>(sub)...,
-                         p::SiHtmCoreConfig{retries, budget});
+                         p::SiHtmCoreConfig{retries});
     case Backend::kP8tm:
       return Machines<S>(std::in_place_index<2>, std::forward<SubArgs>(sub)...,
-                         p::P8tmCoreConfig{retries, 20, budget});
+                         p::P8tmCoreConfig{retries, 20});
     case Backend::kSilo:
       return Machines<S>(std::in_place_index<3>, std::forward<SubArgs>(sub)...,
                          p::SiloCoreConfig{20, S::kLockedReadSpins});

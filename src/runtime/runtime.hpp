@@ -16,7 +16,6 @@
 #include "obs/obs.hpp"
 #include "p8htm/topology.hpp"
 #include "protocol/real_substrate.hpp"
-#include "protocol/retry_budget.hpp"
 #include "runtime/backend.hpp"
 #include "util/stats.hpp"
 
@@ -27,11 +26,6 @@ struct RuntimeConfig {
   si::p8::HtmConfig htm{};
   int max_threads = 80;
   int retries = 10;
-
-  /// Contention-aware retry budgets (protocol/retry_budget.hpp): forwarded
-  /// to the HTM / SI-HTM / P8TM cores. Silo retries until commit and raw-ROT
-  /// never falls back, so the budget does not apply to them.
-  si::protocol::RetryBudgetConfig retry_budget{};
 
   /// Forwarded to the selected backend's config (null: recording off).
   si::check::HistoryRecorder* recorder = nullptr;
@@ -58,7 +52,7 @@ class Runtime {
   explicit Runtime(const RuntimeConfig& cfg)
       : cfg_(cfg),
         machine_(make_machine<si::protocol::RealSubstrate>(
-            cfg.backend, cfg.retries, cfg.retry_budget,
+            cfg.backend, cfg.retries,
             si::protocol::RealSubstrateConfig{.htm = cfg.htm,
                                               .max_threads = cfg.max_threads,
                                               .recorder = cfg.recorder,

@@ -14,13 +14,6 @@
 //    moment the epoch p99 spikes past target or the abort rate crosses
 //    abort_cut_pct — shedding load before the queue-delay tail compounds.
 //
-// A third input rides along when configured (wakeup_cut_per_epoch > 0):
-// the epoch's delta of `sgl_sleep_wakeups` (util/stats.hpp), the number of
-// futex wake-ups threads took while parked on the slim SGL. A storm of
-// wake-ups means the fallback lock has become a convoy — capacity is gone
-// even if the latency tail has not caught up yet — so the controller cuts
-// on it directly, one epoch earlier than the p99 breach it predicts.
-//
 // The controller itself is single-threaded arithmetic with no locks; the
 // Service owns one instance and drives it from a dedicated epoch-tick
 // thread, fanning the decision out to every shard queue's atomic watermark.
@@ -43,11 +36,6 @@ struct AimdConfig {
   std::size_t add_step = 16;       ///< additive raise per good epoch
   double cut_factor = 0.5;         ///< multiplicative decrease on a bad epoch
   double abort_cut_pct = 75.0;     ///< abort-rate (% of attempts) that cuts
-
-  /// SGL futex wake-ups per epoch that trigger a cut; 0 disables the signal.
-  /// Threads parking on the fallback lock mean the substrate is serialising,
-  /// which shows up here before it shows up in the latency tail.
-  std::uint64_t wakeup_cut_per_epoch = 0;
 };
 
 /// Controller state, exposed verbatim in si_serve -json output and the
@@ -60,7 +48,6 @@ struct AimdState {
   std::uint64_t last_p99_ns = 0;   ///< request-latency p99 of the last epoch
   std::uint64_t last_p50_ns = 0;   ///< ... and p50 (feeds the retry hint)
   double last_abort_pct = 0.0;     ///< abort rate of the last epoch
-  std::uint64_t last_wakeups = 0;  ///< SGL futex wake-ups in the last epoch
 };
 
 class AimdController {
@@ -72,20 +59,12 @@ class AimdController {
   }
 
   /// One epoch tick. `latency_delta` / `retries_delta` are this epoch's
-  /// histogram windows (cumulative snapshot minus the previous one);
-  /// `wakeups_delta` is the epoch's SGL futex wake-up count (third signal,
-  /// judged only when wakeup_cut_per_epoch is configured). Returns the new
-  /// watermark.
+  /// histogram windows (cumulative snapshot minus the previous one).
+  /// Returns the new watermark.
   std::size_t on_epoch(const si::util::Histogram& latency_delta,
-                       const si::util::Histogram& retries_delta,
-                       std::uint64_t wakeups_delta = 0) {
+                       const si::util::Histogram& retries_delta) {
     ++st_.epochs;
-    st_.last_wakeups = wakeups_delta;
-    // The wake-up storm cuts even on an idle epoch: no completions with
-    // threads parked on the SGL is the convoy at its worst, not quiet.
-    const bool wakeup_storm = cfg_.wakeup_cut_per_epoch > 0 &&
-                              wakeups_delta >= cfg_.wakeup_cut_per_epoch;
-    if (latency_delta.count() == 0 && !wakeup_storm) {
+    if (latency_delta.count() == 0) {
       // Idle epoch: nothing to judge, so drift the watermark back up — this
       // is what re-opens admission after the overload that caused the cuts
       // has passed, even when rejected clients stopped offering load.
@@ -95,7 +74,7 @@ class AimdController {
     st_.last_p99_ns = latency_delta.quantile(0.99);
     st_.last_p50_ns = latency_delta.quantile(0.50);
     st_.last_abort_pct = abort_pct(retries_delta);
-    if (wakeup_storm || st_.last_p99_ns > cfg_.target_p99_ns ||
+    if (st_.last_p99_ns > cfg_.target_p99_ns ||
         st_.last_abort_pct >= cfg_.abort_cut_pct) {
       cut();
     } else {

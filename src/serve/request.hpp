@@ -19,7 +19,7 @@ namespace si::serve {
 
 enum class Status : std::uint8_t {
   kOk = 0,        ///< executed and committed
-  kFailed = 1,    ///< malformed request (unknown opcode)
+  kFailed = 1,    ///< unknown opcode, or a logged write its failed WAL lost
   kRejected = 2,  ///< admission control refused it; retry after the hint
 };
 

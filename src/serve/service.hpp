@@ -129,7 +129,9 @@ struct ServiceCounters {
   std::uint64_t rejected_full = 0;     ///< hard ring-capacity refusals
   std::uint64_t rejected_stopped = 0;  ///< submitted after stop() began
   std::uint64_t completed = 0;
-  std::uint64_t failed = 0;  ///< completed with Status::kFailed (bad opcode)
+  /// Completed with Status::kFailed: a bad opcode, or a write whose shard
+  /// log failed before it became durable (answered by stop()).
+  std::uint64_t failed = 0;
 };
 
 struct SubmitResult {
@@ -262,7 +264,9 @@ class Service {
   /// accepted at return. With durability on, the group-commit daemon then
   /// performs one final flush + fsync of every shard's buffered log tail and
   /// releases every held ack before it is joined — a clean SIGTERM drain is
-  /// always recoverable with zero replay loss, and every accepted request's
+  /// always recoverable with zero replay loss. An ack that final flush could
+  /// not release sits behind a failed log (durability/wal.hpp) and is
+  /// answered Status::kFailed, never OK. Either way every accepted request's
   /// completion has fired by the time stop() returns (the TCP front end
   /// relies on that ordering: Service::stop() precedes reactor teardown).
   void stop() {
@@ -440,10 +444,6 @@ class Service {
     if (cfg_.aimd.enabled) {
       ctl.emplace(cfg_.aimd, queues_[0]->capacity(), queues_[0]->watermark());
     }
-    // The wakeup sum is an AIMD-only signal, and sampling it walks the
-    // backend's plain per-thread counters — don't touch it on the
-    // telemetry-only path.
-    std::uint64_t prev_wakeups = ctl ? total_sgl_wakeups() : 0;
     // AIMD's tick wins when both are on: the controller's cadence is part of
     // its control loop.
     const auto epoch = std::chrono::microseconds(
@@ -461,13 +461,8 @@ class Service {
       if (stopping_.load(std::memory_order_acquire)) break;
       const si::obs::MetricsSnapshot window = next_window();
       if (ctl) {
-        // Third signal: this epoch's SGL futex wake-ups (serve/aimd.hpp).
-        const std::uint64_t cur_wakeups = total_sgl_wakeups();
-        const std::uint64_t wakeups_delta =
-            cur_wakeups >= prev_wakeups ? cur_wakeups - prev_wakeups : 0;
-        prev_wakeups = cur_wakeups;
-        const std::size_t wm = ctl->on_epoch(window.request_latency,
-                                             window.retries, wakeups_delta);
+        const std::size_t wm =
+            ctl->on_epoch(window.request_latency, window.retries);
         for (auto& q : queues_) q->set_watermark(wm);
         if (window.request_latency.count() > 0) {
           std::uint64_t p50_us = ctl->state().last_p50_ns / 1000;
@@ -527,15 +522,6 @@ class Service {
       ext.durable_lsn = d.durable_lsn;
     }
     aggregator_->on_epoch(window, ext);
-  }
-
-  /// Sum of the SGL sleep wake-ups over the worker tids. Racy snapshot of
-  /// plain counters, same tolerance as the histogram snapshots above.
-  std::uint64_t total_sgl_wakeups() {
-    std::uint64_t total = 0;
-    const auto& stats = rt_.thread_stats();
-    for (const auto& ts : stats) total += ts.sgl_sleep_wakeups;
-    return total;
   }
 
   void worker_loop(int tid) {
@@ -692,6 +678,7 @@ class Service {
     }
     lk.unlock();
     flush_and_release();
+    fail_held_acks();
   }
 
   void flush_and_release() {
@@ -724,6 +711,22 @@ class Service {
       still_held += spill.size();
     }
     spill_depth_.store(still_held, std::memory_order_relaxed);
+  }
+
+  /// Answers every ack still held with Status::kFailed. Runs on the daemon's
+  /// exit path, after the workers joined and the final flush released all it
+  /// could: what is left waits on a poisoned log that will never make it
+  /// durable, so it must not be acked OK, yet it must be answered.
+  void fail_held_acks() {
+    for (auto& spill : spill_) {
+      for (HeldAck& ack : spill) {
+        ack.resp.status = Status::kFailed;
+        failed_.fetch_add(1, std::memory_order_relaxed);
+        ack.done(ack.ctx, ack.resp);
+      }
+      spill.clear();
+    }
+    spill_depth_.store(0, std::memory_order_relaxed);
   }
 
   ServiceConfig cfg_;

@@ -11,9 +11,17 @@
 // change in TPC-C), so transactions may probe it without instrumentation —
 // mirroring the paper's setup, which disables Silo's record indexing so that
 // only core concurrency control is compared.
+//
+// Every table starts on a cache-line boundary (Table below). The HTM models
+// detect conflicts and capacity per 128-byte line, keyed by address, so the
+// rows that share a line must follow from the schema alone — with malloc's
+// 16-byte alignment they would follow from where the heap put each array,
+// and a seeded simulation would change with the allocator's layout.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "tpcc/schema.hpp"
@@ -31,6 +39,29 @@ struct DbConfig {
   unsigned history_ring_bits = 14;     ///< history rows kept per warehouse
   std::uint64_t seed = 20260704;
 };
+
+/// Allocator that puts every array on a kLineSize boundary.
+template <typename T>
+struct LineAllocator {
+  using value_type = T;
+  LineAllocator() = default;
+  template <typename U>
+  LineAllocator(const LineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{si::util::kLineSize}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{si::util::kLineSize});
+  }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) noexcept {
+    return true;
+  }
+};
+
+/// A line-aligned table.
+template <typename T>
+using Table = std::vector<T, LineAllocator<T>>;
 
 /// Per-district new-order FIFO (the undelivered-order queue).
 struct alignas(si::util::kLineSize) NewOrderQueue {
@@ -103,7 +134,7 @@ class Db {
 
   /// Customers in (w, d) whose last name has number `num` (0..999), sorted
   /// by first name (clause 2.5.2.2). Immutable after load.
-  const std::vector<std::int32_t>& customers_by_name(int w, int d, int num) const {
+  const Table<std::int32_t>& customers_by_name(int w, int d, int num) const {
     return name_index_[static_cast<std::size_t>(dix(w, d)) * 1000 + num];
   }
 
@@ -130,19 +161,19 @@ class Db {
 
   DbConfig cfg_;
   NurandC nurand_c_;
-  std::vector<Warehouse> warehouses_;
-  std::vector<District> districts_;
-  std::vector<Customer> customers_;
-  std::vector<Item> items_;
-  std::vector<Stock> stocks_;
-  std::vector<Order> orders_;
-  std::vector<OrderLine> order_lines_;
-  std::vector<History> history_;
-  std::vector<HistoryCursor> history_cursors_;
-  std::vector<NewOrderQueue> no_queues_;
-  std::vector<std::int64_t> no_rings_;
-  std::vector<std::int64_t> last_order_;
-  std::vector<std::vector<std::int32_t>> name_index_;
+  Table<Warehouse> warehouses_;
+  Table<District> districts_;
+  Table<Customer> customers_;
+  Table<Item> items_;
+  Table<Stock> stocks_;
+  Table<Order> orders_;
+  Table<OrderLine> order_lines_;
+  Table<History> history_;
+  Table<HistoryCursor> history_cursors_;
+  Table<NewOrderQueue> no_queues_;
+  Table<std::int64_t> no_rings_;
+  Table<std::int64_t> last_order_;
+  std::vector<Table<std::int32_t>> name_index_;
 };
 
 }  // namespace si::tpcc

@@ -6,13 +6,17 @@
 // scanned, eof-terminated log).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <csignal>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +63,37 @@ std::vector<unsigned char> read_image(const std::string& path) {
   std::string err;
   EXPECT_TRUE(read_file(path, &image, &err)) << err;
   return image;
+}
+
+/// Caps this process's file size at `bytes` while in scope (RLIMIT_FSIZE,
+/// SIGXFSZ ignored), so a write past the cap fails with EFBIG — a disk-full
+/// fault injected without root. Restores both on scope exit.
+struct FileSizeCap {
+  rlimit saved{};
+  void (*saved_handler)(int) = nullptr;
+  explicit FileSizeCap(std::size_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, saved_handler);
+  }
+};
+
+std::size_t file_size(const std::string& path) {
+  struct stat st;
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<std::size_t>(st.st_size);
+}
+
+/// Last LSN of the trusted prefix of shard 0's log in `dir`.
+std::uint64_t trusted_lsn(const std::string& dir) {
+  const auto image = read_image(shard_log_path(dir, 0));
+  return scan_log(image.data(), image.size()).last_lsn;
 }
 
 /// A header + `n` consecutive records (LSN 1..n), all in memory.
@@ -335,6 +370,39 @@ TEST(ShardLog, ODirectModeOpensOrFallsBackAndStaysScannable) {
 
 // --- recovery ----------------------------------------------------------------
 
+// Fail-stop: the first failed write poisons the log. A later flush that the
+// disk would accept must not advance the durable LSN past the failed batch —
+// the hole that batch leaves ends recovery's trusted prefix, so acks released
+// on such a flush would cover records no restart can replay.
+TEST(ShardLog, FirstIoErrorStopsTheLogForGood) {
+  TempDir dir;
+  std::string err;
+  ShardLog log;
+  ASSERT_TRUE(log.open(dir.path, 0, 1, DurabilityMode::kBuffered, &err)) << err;
+  for (std::uint64_t i = 1; i <= 4; ++i) log.append(i, i, i, KvApp::kPut);
+  log.flush();
+  ASSERT_EQ(log.durable_lsn(), 4u);
+  EXPECT_FALSE(log.failed());
+  {
+    const FileSizeCap full(file_size(log.path()));  // the next write fails
+    for (std::uint64_t i = 5; i <= 7; ++i) log.append(i, i, i, KvApp::kPut);
+    log.flush();
+  }
+  EXPECT_EQ(log.durable_lsn(), 4u);
+  EXPECT_EQ(log.stats().io_errors, 1u);
+  EXPECT_TRUE(log.failed());
+
+  // The disk has room again; the log stays stopped and does no more I/O.
+  for (std::uint64_t i = 8; i <= 11; ++i) log.append(i, i, i, KvApp::kPut);
+  const std::size_t size_before = file_size(log.path());
+  log.flush();
+  EXPECT_EQ(log.appended_lsn(), 11u);
+  EXPECT_EQ(log.durable_lsn(), 4u);
+  EXPECT_EQ(log.stats().io_errors, 1u);
+  EXPECT_EQ(file_size(log.path()), size_before);
+  EXPECT_EQ(trusted_lsn(dir.path), 4u);
+}
+
 KvAppConfig small_app_cfg() {
   KvAppConfig cfg;
   cfg.buckets = 64;
@@ -599,6 +667,81 @@ TEST(ServiceDurability, RecoveryReproducesRoutedWrites) {
     else if (k % 10 == 0) expect = 4242;  // overwritten
     EXPECT_EQ(get_value(fresh, rt, k), expect) << k;
   }
+}
+
+// Fail-stop through the Service: the writes acked before a log failure are
+// OK; every write the failed log holds — also those appended after the disk
+// has room again — is answered kFailed by stop(), never OK and never left
+// unanswered. So every LSN acked OK is in the prefix recovery trusts.
+TEST(ServiceDurability, FailedLogNeverAcksPastTheTrustedPrefix) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.durability.mode = DurabilityMode::kBuffered;
+  cfg.durability.dir = dir.path;
+  cfg.durability.group_commit_us = 200;
+  KvApp app(small_app_cfg(), cfg.shards);
+  Service<KvApp> svc(app, cfg);
+
+  struct Acks {
+    std::mutex mu;
+    std::vector<Response> seen;
+  } acks;
+  std::uint64_t accepted = 0;
+  const auto put = [&](std::uint64_t k) {
+    Request req;
+    req.id = k;
+    req.op = KvApp::kPut;
+    req.key = k;
+    req.arg = k + 1;
+    req.ctx = &acks;
+    req.done = [](void* c, const Response& resp) {
+      auto* a = static_cast<Acks*>(c);
+      std::lock_guard<std::mutex> g(a->mu);
+      a->seen.push_back(resp);
+    };
+    ASSERT_TRUE(svc.submit_to(0, req).accepted());
+    ++accepted;
+  };
+  const auto answered = [&] {
+    std::lock_guard<std::mutex> g(acks.mu);
+    return acks.seen.size();
+  };
+  const auto eventually = [](auto pred) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!pred() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return pred();
+  };
+
+  constexpr std::uint64_t kBefore = 20;
+  for (std::uint64_t k = 0; k < kBefore; ++k) put(k);
+  ASSERT_TRUE(eventually([&] { return answered() == kBefore; }));
+  {
+    const FileSizeCap full(file_size(shard_log_path(dir.path, 0)));
+    for (std::uint64_t k = kBefore; k < 2 * kBefore; ++k) put(k);
+    ASSERT_TRUE(eventually([&] { return svc.durability_stats().io_errors > 0; }));
+  }
+  for (std::uint64_t k = 2 * kBefore; k < 3 * kBefore; ++k) put(k);
+  svc.stop();
+
+  ASSERT_EQ(answered(), accepted);
+  const auto c = svc.counters();
+  EXPECT_EQ(c.completed, c.accepted);
+  EXPECT_EQ(c.failed, 2 * kBefore);
+  const std::uint64_t trusted = trusted_lsn(dir.path);
+  EXPECT_EQ(trusted, kBefore);
+  std::uint64_t ok = 0;
+  for (const Response& r : acks.seen) {
+    if (r.status == Status::kOk) {
+      ++ok;
+      EXPECT_LE(r.lsn, trusted) << "acked OK, not recoverable: id " << r.id;
+    } else {
+      EXPECT_EQ(r.status, Status::kFailed) << r.id;
+    }
+  }
+  EXPECT_EQ(ok, kBefore);
 }
 
 }  // namespace

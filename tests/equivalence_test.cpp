@@ -154,7 +154,7 @@ RunResult run_real(Backend b, const std::vector<Op>& script,
   seed_cells(out.cells, rec);
   sub.max_threads = 8;
   sub.recorder = &rec;
-  auto m = make_machine<RealSubstrate>(b, 10, {}, sub);
+  auto m = make_machine<RealSubstrate>(b, 10, sub);
   std::visit(
       [&](auto& be) {
         be.register_thread(0);
@@ -177,7 +177,7 @@ RunResult run_sim(Backend b, const std::vector<Op>& script,
   seed_cells(out.cells, rec);
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, 1);
   sub.recorder = &rec;
-  auto m = make_machine<SimSubstrate>(b, 10, {}, eng, sub);
+  auto m = make_machine<SimSubstrate>(b, 10, eng, sub);
   std::visit(
       [&](auto& be) {
         eng.run(1e9, [&](int) {
@@ -523,7 +523,7 @@ MapRunResult run_map_real(Backend b, const std::vector<MapOp>& script) {
   // from the identical pre-populated tree, outside the recorded history.
   si::maps::map_seed(map, kMapSeedElems, kMapKeySpace, 77, scratch);
   auto m = make_machine<RealSubstrate>(
-      b, 10, {}, RealSubstrateConfig{.max_threads = 8, .recorder = &rec});
+      b, 10, RealSubstrateConfig{.max_threads = 8, .recorder = &rec});
   std::visit(
       [&](auto& be) {
         be.register_thread(0);
@@ -547,7 +547,7 @@ MapRunResult run_map_sim(Backend b, const std::vector<MapOp>& script) {
   typename Map::ScratchT scratch(pool);
   si::maps::map_seed(map, kMapSeedElems, kMapKeySpace, 77, scratch);
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, 1);
-  auto m = make_machine<SimSubstrate>(b, 10, {}, eng,
+  auto m = make_machine<SimSubstrate>(b, 10, eng,
                                       SimSubstrateConfig{.recorder = &rec});
   out.results.reserve(script.size());
   std::visit(

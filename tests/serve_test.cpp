@@ -306,50 +306,6 @@ TEST(ServeAimd, ControllerCutsOnAbortStorm) {
   EXPECT_GT(ctl.state().last_abort_pct, 75.0);
 }
 
-// Third input signal: a storm of SGL futex wake-ups cuts even when latency
-// looks fine, and — unlike the latency/abort signals — even on an idle epoch
-// (threads parked on the fallback lock with no completions is the convoy at
-// its worst, not quiet). Below the threshold the signal must stay silent.
-TEST(ServeAimd, ControllerCutsOnSglWakeupStorm) {
-  AimdConfig acfg;
-  acfg.enabled = true;
-  acfg.target_p99_ns = 1'000'000'000;  // latency goal impossible to miss
-  acfg.wakeup_cut_per_epoch = 100;
-  constexpr std::size_t kCapacity = 256;
-  AimdController ctl(acfg, kCapacity, kCapacity);
-
-  si::util::Histogram fast;
-  for (int i = 0; i < 100; ++i) fast.record(1'000);
-  si::util::Histogram one_attempt;
-  one_attempt.record(1);
-
-  // Quiet wake-up counts: a good epoch must still raise (here: stay capped).
-  std::size_t wm = ctl.on_epoch(fast, one_attempt, /*wakeups_delta=*/99);
-  EXPECT_EQ(wm, kCapacity);
-  EXPECT_EQ(ctl.state().cuts, 0u);
-  EXPECT_EQ(ctl.state().last_wakeups, 99u);
-
-  // At the threshold: cut despite perfect latency and zero aborts.
-  wm = ctl.on_epoch(fast, one_attempt, /*wakeups_delta=*/100);
-  EXPECT_LT(wm, kCapacity);
-  EXPECT_EQ(ctl.state().cuts, 1u);
-  EXPECT_EQ(ctl.state().last_wakeups, 100u);
-
-  // An idle epoch with a storm must also cut, not drift back up.
-  const si::util::Histogram idle;
-  const std::size_t before = ctl.state().watermark;
-  wm = ctl.on_epoch(idle, idle, /*wakeups_delta=*/500);
-  EXPECT_LT(wm, before);
-  EXPECT_EQ(ctl.state().cuts, 2u);
-
-  // Disabled (the default, wakeup_cut_per_epoch == 0): any count is ignored.
-  AimdController off(AimdConfig{.enabled = true,
-                                .target_p99_ns = 1'000'000'000},
-                     kCapacity, kCapacity);
-  (void)off.on_epoch(fast, one_attempt, /*wakeups_delta=*/1'000'000);
-  EXPECT_EQ(off.state().cuts, 0u);
-}
-
 // End to end through the Service: flood a slow app against an unreachable
 // latency target and the epoch thread must cut the shard watermarks; stop
 // offering load and the idle epochs must re-open admission to capacity.

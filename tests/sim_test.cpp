@@ -302,7 +302,7 @@ TEST(HtmSglSimTest, LargeReadSetFallsBackWithCapacityAborts) {
 void run_transfer_invariant(Backend backend) {
   SimEngine eng(machine(), 8);
   auto m = si::runtime::make_machine<SimSubstrate>(
-      backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+      backend, 10, eng, si::protocol::SimSubstrateConfig{});
   constexpr int kAccounts = 12;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 1000;
@@ -393,7 +393,7 @@ TEST(SimWorkloads, HashMapRunsOnAllSimBackends) {
     const std::size_t seeded = w.map().count();
 
     auto m = si::runtime::make_machine<SimSubstrate>(
-        backend, 10, {}, eng, si::protocol::SimSubstrateConfig{});
+        backend, 10, eng, si::protocol::SimSubstrateConfig{});
     std::visit(
         [&](auto& cc) { eng.run(2e6, [&](int tid) { w.step(cc, tid); }); }, m);
     std::uint64_t commits = 0;

@@ -302,7 +302,7 @@ TEST(RendererTest, PrometheusExpositionShape) {
   EXPECT_NE(text.find("si_tx_commits_total 1"), std::string::npos);
   EXPECT_NE(text.find("si_tx_aborts_total{cause=\"capacity_abort\"} 5"),
             std::string::npos);
-  // All nine taxonomy labels appear, even at zero.
+  // All eight taxonomy labels appear, even at zero.
   for (int i = 0; i < kTaxonomyCounters; ++i) {
     const std::string label = "si_tx_aborts_total{cause=\"" +
                               std::string(si::obs::metric_name(
@@ -535,8 +535,8 @@ TEST(TaxonomyParityTest, TraceSummaryMatchesLiveMetrics) {
   EXPECT_GT(run.metrics.taxonomy.total_aborts(), 0u);
 
   // Trace-derivable counters agree exactly between the offline summary and
-  // the live metrics surface. shared-ro-admit and retry-clamp are
-  // metrics-only hooks (no trace event by design) and are excluded.
+  // the live metrics surface. shared-ro-admit is a metrics-only hook
+  // (no trace event by design) and is excluded.
   const std::vector<TaxonomyCounter> derivable = {
       TaxonomyCounter::kCapacityAbort, TaxonomyCounter::kConflictAbort,
       TaxonomyCounter::kStragglerKill, TaxonomyCounter::kSglKill,
@@ -548,10 +548,8 @@ TEST(TaxonomyParityTest, TraceSummaryMatchesLiveMetrics) {
               run.metrics.taxonomy.count(c))
         << si::obs::to_string(c);
   }
-  // The metrics-only counters never show up in a trace summary.
+  // The metrics-only counter never shows up in a trace summary.
   EXPECT_EQ(run.trace_taxonomy[static_cast<int>(TaxonomyCounter::kSharedRoAdmit)],
-            0u);
-  EXPECT_EQ(run.trace_taxonomy[static_cast<int>(TaxonomyCounter::kRetryClamp)],
             0u);
 }
 

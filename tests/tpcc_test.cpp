@@ -118,6 +118,37 @@ TEST(TpccLoader, NameIndexCoversAllCustomersSortedByFirstName) {
   EXPECT_EQ(indexed, 60u);
 }
 
+// The simulated HTM finds conflicts per 128-byte line, keyed by address, so
+// every table must start on a line boundary: otherwise which rows share a
+// line (two OrderLines, several History rows or ring slots) depends on where
+// the heap put the array, and a seeded simulation depends on the allocator.
+// The benchmark-sized config puts order_lines_ in an mmap'd chunk, whose
+// payload malloc starts 16 bytes past a page boundary.
+TEST(TpccLoader, EveryTableStartsOnALineBoundary) {
+  Db db(DbConfig{});
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % si::util::kLineSize == 0;
+  };
+  EXPECT_TRUE(aligned(&db.warehouse(1)));
+  EXPECT_TRUE(aligned(&db.district(1, 1)));
+  EXPECT_TRUE(aligned(&db.customer(1, 1, 1)));
+  EXPECT_TRUE(aligned(&db.item(1)));
+  EXPECT_TRUE(aligned(&db.stock(1, 1)));
+  EXPECT_TRUE(aligned(&db.order_slot(1, 1, 0)));
+  EXPECT_TRUE(aligned(&db.order_line(1, 1, 0, 1)));
+  EXPECT_TRUE(aligned(&db.history_slot(1, 0)));
+  EXPECT_TRUE(aligned(&db.history_cursor(1)));
+  EXPECT_TRUE(aligned(&db.no_queue(1, 1)));
+  EXPECT_TRUE(aligned(&db.no_ring_slot(1, 1, 0)));
+  EXPECT_TRUE(aligned(&db.last_order_of(1, 1, 1)));
+  for (int num = 0; num < 1000; ++num) {
+    const auto& group = db.customers_by_name(1, 1, num);
+    if (!group.empty()) {
+      EXPECT_TRUE(aligned(group.data())) << num;
+    }
+  }
+}
+
 TEST(TpccLoader, UndeliveredOrdersHaveNoCarrier) {
   Db db(tiny_db());
   const auto& q = db.no_queue(1, 1);

@@ -60,7 +60,6 @@ void usage(const char* prog) {
                "          [-reactors N] [-max-outbuf BYTES]\n"
                "          [-queue-cap N] [-watermark N] [-batch N]\n"
                "          [-adaptive] [-target-p99-us N] [-aimd-epoch-us N]\n"
-               "          [-aimd-wakeup-cut N] [-adaptive-retries]\n"
                "          [-admin-port P] [-series-epoch-ms N] [-series-ring N]\n"
                "          [-buckets N] [-elements N] [-warehouses N]\n"
                "          [-struct skiplist|bst|btree] [-scan-cap N]\n"
@@ -404,10 +403,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("target-p99-us", 1000)) * 1000;
   scfg.aimd.epoch_us =
       static_cast<std::uint32_t>(cli.get_int("aimd-epoch-us", 5000));
-  scfg.aimd.wakeup_cut_per_epoch =
-      static_cast<std::uint64_t>(cli.get_int("aimd-wakeup-cut", 0));
   scfg.runtime.max_threads = scfg.shards;
-  scfg.runtime.retry_budget.enabled = cli.has("adaptive-retries");
   // The admin endpoint is useless without the epoch aggregator behind it, so
   // -admin-port implies telemetry (and with it a private metrics sink).
   if (cli.get_int("admin-port", -1) >= 0) {

@@ -82,7 +82,7 @@ std::uint64_t run_traced(const Options& opt, const si::obs::ObsConfig& obs,
   si::sim::SimEngine eng(mcfg, opt.threads);
   auto workload = make_workload(opt.threads);
   auto machine = si::runtime::make_machine<si::protocol::SimSubstrate>(
-      opt.backend, 10, {}, eng, si::protocol::SimSubstrateConfig{.obs = obs});
+      opt.backend, 10, eng, si::protocol::SimSubstrateConfig{.obs = obs});
   return std::visit(
       [&](auto& cc) {
         return eng
