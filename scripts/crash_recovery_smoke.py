@@ -99,7 +99,7 @@ def main():
     ap.add_argument("--build-dir", default="build",
                     help="CMake build dir holding tools/si_serve etc.")
     ap.add_argument("--mode", default="fsync",
-                    choices=["buffered", "fsync", "odirect"],
+                    choices=["buffered", "fsync"],
                     help="-durability mode under test")
     ap.add_argument("--backend", default="si-htm")
     ap.add_argument("--shards", type=int, default=2)

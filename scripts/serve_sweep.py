@@ -170,7 +170,7 @@ def main():
     ap.add_argument("--client-threads", type=int, default=2)
     ap.add_argument("--durability", default="off",
                     help="comma-separated -durability modes to sweep "
-                         "(off,buffered,fsync,odirect); non-off modes "
+                         "(off,buffered,fsync); non-off modes "
                          "suffix the system name")
     ap.add_argument("--group-commit-us", type=int, default=200)
     ap.add_argument("--rates", default="",
@@ -193,7 +193,7 @@ def main():
     rates_list = [int(r) for r in args.rates.split(",") if r]
     modes = [m.strip() for m in args.durability.split(",") if m.strip()]
     for mode in modes:
-        if mode not in ("off", "buffered", "fsync", "odirect"):
+        if mode not in ("off", "buffered", "fsync"):
             raise SystemExit(f"unknown durability mode: {mode}")
     if args.quick:
         args.requests = min(args.requests, 40000)

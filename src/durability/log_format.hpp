@@ -23,8 +23,8 @@
 // (b) checksum, and (c) carry consecutive LSNs starting from the previous
 // record's +1. The first record that fails any of the three ends the trusted
 // prefix — everything after it is the torn tail and is discarded by
-// recovery. A zero-filled O_DIRECT padding block fails (b) and (c) at its
-// first byte, so direct-I/O block rounding needs no special casing.
+// recovery. A zero-filled tail (block-rounding padding, preallocated space)
+// fails (b) and (c) at its first byte, so it needs no special casing.
 //
 // This header is pure encode/decode/scan over byte buffers — no I/O — so
 // the property tests can cut, flip and splice buffers without a filesystem.

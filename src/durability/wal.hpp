@@ -6,22 +6,17 @@
 // and returns the record's LSN; flush() swaps the buffer out under the same
 // mutex, then does the write()/fsync() *outside* it, so a multi-millisecond
 // fsync never blocks the shard worker's commit path — that is the whole
-// point of group commit.
+// point of group commit. The daemon answers a shard's held acks right after
+// its flush (serve/service.hpp), so the log itself tracks no acks.
 //
 // Durability modes (the -durability knob):
 //   kOff      no log at all (ShardLog is not even constructed)
 //   kBuffered flush() write()s the tail to the page cache, no fsync.
 //             Survives a process kill -9; not an OS crash.
 //   kFsync    write() + fdatasync() per flush. Survives an OS crash.
-//   kODirect  O_DIRECT block writes: the tail 4 KiB block is kept in an
-//             aligned staging buffer and rewritten each flush, zero-padded.
-//             The padding fails CRC + LSN checks, so the scan treats it as
-//             torn tail — no special casing in recovery. Falls back to
-//             kFsync (with a note in `fallback()`) on filesystems that
-//             refuse O_DIRECT (tmpfs).
 //
-// The durable LSN only advances after the covering write (and fsync, in the
-// sync modes) returned, which is exactly the ack-gating contract: a response
+// The durable LSN only advances after the covering write (and fsync, in
+// kFsync) returned, which is exactly the ack-gating contract: a response
 // whose LSN is <= durable_lsn() may be released to the client.
 //
 // The first failed write or fdatasync poisons the log for good (fail-stop):
@@ -29,9 +24,9 @@
 // retry cannot be trusted — the failed batch may have left a partial record
 // or a hole, and recovery stops at the first gap, so records written after
 // it would be acked yet unrecoverable; a failed fdatasync may also have
-// dropped the dirty pages it was asked to persist. The records the log can
-// no longer make durable are answered kFailed by Service::stop(), never OK;
-// the only way back is a restart with -recover.
+// dropped the dirty pages it was asked to persist. The group-commit daemon
+// answers the writes the log can no longer make durable kFailed at its next
+// tick, never OK; the only way back is a restart with -recover.
 //
 // open() on an existing file scans it (log_format.hpp), truncates the torn
 // tail, and continues LSNs from the last trusted record — the post-recovery
@@ -47,7 +42,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -61,7 +55,6 @@ enum class DurabilityMode : std::uint8_t {
   kOff = 0,
   kBuffered = 1,
   kFsync = 2,
-  kODirect = 3,
 };
 
 inline const char* to_string(DurabilityMode m) noexcept {
@@ -69,7 +62,6 @@ inline const char* to_string(DurabilityMode m) noexcept {
     case DurabilityMode::kOff: return "off";
     case DurabilityMode::kBuffered: return "buffered";
     case DurabilityMode::kFsync: return "fsync";
-    case DurabilityMode::kODirect: return "odirect";
   }
   return "?";
 }
@@ -79,7 +71,6 @@ inline bool mode_from_string(const std::string& s, DurabilityMode* out) {
   if (s == "off") *out = DurabilityMode::kOff;
   else if (s == "buffered") *out = DurabilityMode::kBuffered;
   else if (s == "fsync") *out = DurabilityMode::kFsync;
-  else if (s == "odirect") *out = DurabilityMode::kODirect;
   else return false;
   return true;
 }
@@ -111,8 +102,6 @@ struct ShardLogStats {
 
 class ShardLog {
  public:
-  static constexpr std::size_t kBlock = 4096;  ///< O_DIRECT unit
-
   ShardLog() = default;
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
@@ -154,7 +143,6 @@ class ShardLog {
         close();
         return false;
       }
-      image.assign(hdr, hdr + kHeaderSize);
       valid_len = kHeaderSize;
     } else {
       const ScanResult scan = scan_log(image.data(), image.size());
@@ -191,18 +179,10 @@ class ShardLog {
       close();
       return false;
     }
-    if (mode_ == DurabilityMode::kODirect &&
-        !switch_to_odirect(image, valid_len)) {
-      // tmpfs & friends refuse O_DIRECT; degrade to fsync so the knob still
-      // gates acks on stable storage semantics instead of failing startup.
-      mode_ = DurabilityMode::kFsync;
-      fell_back_ = true;
-    }
     return true;
   }
 
   DurabilityMode mode() const noexcept { return mode_; }
-  bool fallback() const noexcept { return fell_back_; }
   const std::string& path() const noexcept { return path_; }
   std::size_t truncated_bytes() const noexcept { return truncated_bytes_; }
 
@@ -227,7 +207,7 @@ class ShardLog {
     return rec.lsn;
   }
 
-  /// Writes (and in the sync modes, fsyncs) everything appended so far, then
+  /// Writes (and in kFsync, fsyncs) everything appended so far, then
   /// advances the durable LSN. Called only by the group-commit daemon; the
   /// I/O happens outside the append mutex. After the first I/O error it only
   /// discards what was appended: the log is poisoned (see the header).
@@ -244,14 +224,8 @@ class ShardLog {
       batch.swap(pending_);
       target = appended_lsn_.load(std::memory_order_relaxed);
     }
-    bool ok = false;
-    if (mode_ == DurabilityMode::kODirect) {
-      ok = write_direct(batch);
-    } else {
-      ok = write_exact(fd_, batch.data(), batch.size());
-    }
-    if (ok && (mode_ == DurabilityMode::kFsync ||
-               mode_ == DurabilityMode::kODirect)) {
+    bool ok = write_exact(fd_, batch.data(), batch.size());
+    if (ok && mode_ == DurabilityMode::kFsync) {
       ok = ::fdatasync(fd_) == 0;
       if (ok) fsyncs_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -294,10 +268,6 @@ class ShardLog {
       ::close(fd_);
       fd_ = -1;
     }
-    if (tail_block_ != nullptr) {
-      std::free(tail_block_);
-      tail_block_ = nullptr;
-    }
   }
 
  private:
@@ -332,54 +302,7 @@ class ShardLog {
     return true;
   }
 
-  /// Reopens the file O_DIRECT and seeds the aligned tail-block staging
-  /// buffer with the current partial block (`image[0..valid_len)` is the
-  /// trusted file content). Returns false if the filesystem refuses.
-  bool switch_to_odirect(const std::vector<unsigned char>& image,
-                         std::size_t valid_len) {
-    const int dfd = ::open(path_.c_str(), O_RDWR | O_DIRECT, 0644);
-    if (dfd < 0) return false;
-    void* buf = nullptr;
-    if (::posix_memalign(&buf, kBlock, kBlock) != 0) {
-      ::close(dfd);
-      return false;
-    }
-    ::close(fd_);
-    fd_ = dfd;
-    tail_block_ = static_cast<unsigned char*>(buf);
-    tail_off_ = valid_len & ~(kBlock - 1);
-    tail_len_ = valid_len - tail_off_;
-    std::memset(tail_block_, 0, kBlock);
-    if (tail_len_ > 0) {
-      std::memcpy(tail_block_, image.data() + tail_off_, tail_len_);
-    }
-    return true;
-  }
-
-  /// O_DIRECT path: fold `batch` through the tail staging block, rewriting
-  /// the (zero-padded) tail block in place and advancing block by block.
-  bool write_direct(const std::vector<unsigned char>& batch) {
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      const std::size_t room = kBlock - tail_len_;
-      const std::size_t n = room < batch.size() - i ? room : batch.size() - i;
-      std::memcpy(tail_block_ + tail_len_, batch.data() + i, n);
-      tail_len_ += n;
-      i += n;
-      std::memset(tail_block_ + tail_len_, 0, kBlock - tail_len_);
-      const ssize_t w = ::pwrite(fd_, tail_block_, kBlock,
-                                 static_cast<off_t>(tail_off_));
-      if (w != static_cast<ssize_t>(kBlock)) return false;
-      if (tail_len_ == kBlock) {
-        tail_off_ += kBlock;
-        tail_len_ = 0;
-      }
-    }
-    return true;
-  }
-
   DurabilityMode mode_ = DurabilityMode::kOff;
-  bool fell_back_ = false;
   std::string path_;
   int fd_ = -1;
   std::size_t truncated_bytes_ = 0;
@@ -387,11 +310,6 @@ class ShardLog {
   std::mutex mu_;  ///< guards pending_ + next_lsn_ (worker vs daemon swap)
   std::vector<unsigned char> pending_;
   std::uint64_t next_lsn_ = 1;
-
-  // O_DIRECT staging (daemon-only once open() returned).
-  unsigned char* tail_block_ = nullptr;
-  std::size_t tail_off_ = 0;
-  std::size_t tail_len_ = 0;
 
   std::atomic<std::uint64_t> appends_{0};
   std::atomic<std::uint64_t> bytes_{0};

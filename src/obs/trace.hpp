@@ -12,10 +12,8 @@
 //    other threads can read emitted()/dropped() counters mid-run;
 //  * bounded memory — the ring keeps the most recent `capacity` records per
 //    thread and counts what it overwrote (dropped());
-//  * compile-out-able — building with -DSI_TRACE=0 replaces the tracer with
-//    inert stubs of identical shape, so instrumented code compiles unchanged
-//    and costs nothing (the emit sites also test a nullable pointer first,
-//    which is what the SI_TRACE=1 default costs when tracing is off).
+//  * off by default — every emit site tests a nullable pointer first, so a
+//    run without a Tracer in its ObsConfig pays one branch per event.
 //
 // Timestamps are nanoseconds as double: virtual time inside the simulator
 // (deterministic, hence byte-stable traces), wall-clock monotonic time
@@ -32,13 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef SI_TRACE
-#define SI_TRACE 1
-#endif
-
 namespace si::obs {
-
-inline constexpr bool kTraceEnabled = SI_TRACE != 0;
 
 /// Transaction-lifecycle event taxonomy (DESIGN.md section 8). The first ten
 /// kinds are emitted by the protocol cores through substrate hooks; the two
@@ -123,8 +115,6 @@ inline double wall_ns() noexcept {
 }
 #endif
 
-#if SI_TRACE
-
 class Tracer {
  public:
   /// `capacity` (slots per thread) is rounded up to a power of two.
@@ -197,27 +187,6 @@ class Tracer {
   std::size_t cap_;
   std::vector<ThreadBuf> bufs_;
 };
-
-#else  // SI_TRACE == 0: inert stubs of identical shape
-
-class Tracer {
- public:
-  explicit Tracer(int max_threads, std::size_t = 0)
-      : threads_(max_threads) {}
-
-  void emit(int, TraceEventKind, double, std::uint32_t = 0) noexcept {}
-
-  int threads() const noexcept { return threads_; }
-  std::size_t capacity() const noexcept { return 0; }
-  std::uint64_t emitted(int) const noexcept { return 0; }
-  std::uint64_t dropped(int) const noexcept { return 0; }
-  std::vector<TraceRecord> drain(int) const { return {}; }
-
- private:
-  int threads_;
-};
-
-#endif  // SI_TRACE
 
 inline std::string_view to_string(TraceEventKind kind) noexcept {
   switch (kind) {

@@ -74,7 +74,10 @@ struct ReactorConfig {
   si::obs::Metrics* metrics = nullptr;
 };
 
-/// Per-reactor counters, harvested after the run (owner-thread writes only).
+/// Per-reactor counters. The owning reactor is their only writer and bumps
+/// them with a relaxed load+store (never an RMW, the obs::Taxonomy pattern),
+/// so the epoch and admin threads may sum them mid-run: ReactorPool::stats()
+/// reads each field with a relaxed atomic load into a plain snapshot.
 struct ReactorStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_dropped = 0;   ///< protocol error, overflow, or EOF
@@ -88,19 +91,30 @@ struct ReactorStats {
   std::uint64_t bytes_out = 0;
   std::uint64_t overflow_drops = 0;  ///< connections killed by the outbuf cap
 
+  /// Adds `o`, whose reactor may still be running.
   ReactorStats& operator+=(const ReactorStats& o) noexcept {
-    conns_accepted += o.conns_accepted;
-    conns_dropped += o.conns_dropped;
-    requests += o.requests;
-    parse_errors += o.parse_errors;
-    rejected += o.rejected;
-    completions += o.completions;
-    wakeups += o.wakeups;
-    flushes += o.flushes;
-    bytes_in += o.bytes_in;
-    bytes_out += o.bytes_out;
-    overflow_drops += o.overflow_drops;
+    conns_accepted += load(o.conns_accepted);
+    conns_dropped += load(o.conns_dropped);
+    requests += load(o.requests);
+    parse_errors += load(o.parse_errors);
+    rejected += load(o.rejected);
+    completions += load(o.completions);
+    wakeups += load(o.wakeups);
+    flushes += load(o.flushes);
+    bytes_in += load(o.bytes_in);
+    bytes_out += load(o.bytes_out);
+    overflow_drops += load(o.overflow_drops);
     return *this;
+  }
+
+  /// The owning reactor's increment.
+  static void bump(std::uint64_t& c, std::uint64_t by = 1) noexcept {
+    std::atomic_ref<std::uint64_t> a(c);
+    a.store(a.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+  }
+  static std::uint64_t load(const std::uint64_t& c) noexcept {
+    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(c))
+        .load(std::memory_order_relaxed);
   }
 };
 
@@ -162,15 +176,12 @@ class ReactorPool {
     finished_ = true;
   }
 
-  /// Summed counters over all reactors (exact once finish() returned).
+  /// Summed counters over all reactors: a snapshot mid-run, exact once
+  /// finish() returned.
   ReactorStats stats() const {
     ReactorStats total;
     for (const auto& r : reactors_) total += r->stats();
     return total;
-  }
-
-  const ReactorStats& stats_of(int reactor) const {
-    return reactors_[static_cast<std::size_t>(reactor)]->stats();
   }
 
  private:
@@ -380,7 +391,7 @@ class ReactorPool {
         conn->index = conns_.size();
         conns_.push_back(conn);
         add_fd(fd, EPOLLIN, conn);
-        ++stats_.conns_accepted;
+        ReactorStats::bump(stats_.conns_accepted);
       }
     }
 
@@ -392,7 +403,7 @@ class ReactorPool {
       for (;;) {
         const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
         if (n > 0) {
-          stats_.bytes_in += static_cast<std::uint64_t>(n);
+          ReactorStats::bump(stats_.bytes_in, static_cast<std::uint64_t>(n));
           conn->in.append(chunk, static_cast<std::size_t>(n));
           if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
           continue;  // possibly more queued than one buffer
@@ -410,10 +421,10 @@ class ReactorPool {
       while (conn->in.next(&f)) {
         Request req;
         if (!wire::decode_request(f, &req.id, &req.op, &req.key, &req.arg)) {
-          ++stats_.parse_errors;
+          ReactorStats::bump(stats_.parse_errors);
           return false;  // wrong payload size: peer speaks something else
         }
-        ++stats_.requests;
+        ReactorStats::bump(stats_.requests);
         req.done = &ReactorPool::on_complete;
         req.ctx = conn;
         const auto sr = pool_.service_.submit(req);
@@ -425,12 +436,12 @@ class ReactorPool {
           resp.status = Status::kRejected;
           resp.value = sr.retry_hint_us;
           wire::encode_response(&conn->fresh, resp);
-          ++stats_.rejected;
+          ReactorStats::bump(stats_.rejected);
           mark_dirty(conn, flush_list);
         }
       }
       if (conn->in.poisoned()) {
-        ++stats_.parse_errors;
+        ReactorStats::bump(stats_.parse_errors);
         return false;
       }
       return true;
@@ -460,8 +471,8 @@ class ReactorPool {
         }
       }
       if (drained > 0) {
-        stats_.completions += drained;
-        ++stats_.wakeups;
+        ReactorStats::bump(stats_.completions, drained);
+        ReactorStats::bump(stats_.wakeups);
         if (pool_.cfg_.metrics != nullptr) {
           pool_.cfg_.metrics->of(id_).reactor_batch.record(drained);
         }
@@ -480,7 +491,7 @@ class ReactorPool {
         conn->dirty = false;
         if (!conn->alive) continue;
         if (conn->buffered() > pool_.cfg_.max_outbuf) {
-          ++stats_.overflow_drops;
+          ReactorStats::bump(stats_.overflow_drops);
           kill_conn(conn);
           continue;
         }
@@ -512,8 +523,8 @@ class ReactorPool {
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
       std::size_t took = n > 0 ? static_cast<std::size_t>(n) : 0;
       if (n > 0) {
-        ++stats_.flushes;
-        stats_.bytes_out += took;
+        ReactorStats::bump(stats_.flushes);
+        ReactorStats::bump(stats_.bytes_out, took);
         if (pool_.cfg_.metrics != nullptr) {
           pool_.cfg_.metrics->of(id_).reactor_flush_bytes.record(took);
         }
@@ -550,7 +561,7 @@ class ReactorPool {
       if (!conn->alive) return;
       conn->alive = false;
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-      ++stats_.conns_dropped;
+      ReactorStats::bump(stats_.conns_dropped);
     }
 
     void reap_dead() {

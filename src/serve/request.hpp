@@ -6,11 +6,13 @@
 // assignment, with no allocation or destructor on the ring.
 //
 // Completion is a C-style callback (`done(ctx, response)`), invoked exactly
-// once per accepted request, on the shard worker thread that executed it.
-// Callbacks must be cheap and must not re-enter the service from the same
-// shard (submitting to a *different* shard from a completion is fine). The
-// in-process clients (tests, Service::call) complete into a stack slot; the
-// TCP front end writes the response line to the connection.
+// once per accepted request: on the shard worker thread that executed it,
+// except for a durable write, which completes on the group-commit daemon
+// once the flush covering its log record returned (DESIGN.md §14).
+// Callbacks must be cheap, must not block and must not re-enter the service
+// from the same shard (submitting to a *different* shard from a completion
+// is fine). The in-process clients (tests, Service::call) complete into a
+// stack slot; the TCP front end writes the response line to the connection.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,8 @@ struct Response {
   std::uint64_t lsn = 0;
 };
 
-/// Invoked on the shard worker after the request's transaction committed.
+/// Invoked once the request's transaction committed (and, for a durable
+/// write, once its log record was flushed).
 using CompletionFn = void (*)(void* ctx, const Response& resp);
 
 struct Request {

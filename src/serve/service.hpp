@@ -24,11 +24,11 @@
 // report serving runs with no extra plumbing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -64,13 +64,12 @@ struct TelemetryConfig {
 struct DurabilityConfig {
   si::durability::DurabilityMode mode = si::durability::DurabilityMode::kOff;
   std::string dir;  ///< log directory (required unless mode == kOff)
-  /// Group-commit tick: the daemon flushes every shard log and releases the
-  /// covered acks at least this often. The commit hook also rings the
-  /// daemon's doorbell every `batch` committed updates, so a saturated
-  /// shard never waits the full tick.
+  /// Group-commit tick: the daemon flushes every shard log and answers the
+  /// held acks at least this often. The shard workers also ring the
+  /// daemon's doorbell every `batch` logged updates, so a saturated shard
+  /// never waits the full tick.
   std::uint32_t group_commit_us = 200;
   std::uint32_t batch = 64;          ///< early-flush doorbell threshold
-  std::size_t pending_ring = 8192;   ///< held-ack ring capacity per shard
 
   bool enabled() const noexcept {
     return mode != si::durability::DurabilityMode::kOff;
@@ -120,7 +119,9 @@ struct DurabilityStats {
   std::uint64_t io_errors = 0;
   std::uint64_t appended_lsn = 0;  ///< sum over shards
   std::uint64_t durable_lsn = 0;   ///< sum over shards
-  std::uint64_t acks_held = 0;     ///< completions waiting for their fsync
+  /// Completions waiting for their flush: the held-ack lists plus the
+  /// batch the daemon is answering.
+  std::uint64_t acks_held = 0;
 };
 
 struct ServiceCounters {
@@ -130,7 +131,7 @@ struct ServiceCounters {
   std::uint64_t rejected_stopped = 0;  ///< submitted after stop() began
   std::uint64_t completed = 0;
   /// Completed with Status::kFailed: a bad opcode, or a write whose shard
-  /// log failed before it became durable (answered by stop()).
+  /// log failed before it became durable (answered at the next flush).
   std::uint64_t failed = 0;
 };
 
@@ -161,7 +162,6 @@ class Service {
       : cfg_(fixup(std::move(cfg))),
         app_(app),
         own_metrics_(make_own_metrics()),
-        commit_hook_installed_(install_commit_hook()),
         rt_(cfg_.runtime) {
     queues_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
@@ -262,13 +262,12 @@ class Service {
   /// Rejects further submissions (Admit::kStopped) and joins the workers
   /// after they drained every already-accepted request, so completed ==
   /// accepted at return. With durability on, the group-commit daemon then
-  /// performs one final flush + fsync of every shard's buffered log tail and
-  /// releases every held ack before it is joined — a clean SIGTERM drain is
-  /// always recoverable with zero replay loss. An ack that final flush could
-  /// not release sits behind a failed log (durability/wal.hpp) and is
-  /// answered Status::kFailed, never OK. Either way every accepted request's
-  /// completion has fired by the time stop() returns (the TCP front end
-  /// relies on that ordering: Service::stop() precedes reactor teardown).
+  /// runs one final pass over every shard — flush + fsync the buffered log
+  /// tail, answer every held ack — before it is joined, so a clean SIGTERM
+  /// drain is always recoverable with zero replay loss. Either way every
+  /// accepted request's completion has fired by the time stop() returns
+  /// (the TCP front end relies on that ordering: Service::stop() precedes
+  /// reactor teardown).
   void stop() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
@@ -278,7 +277,7 @@ class Service {
     }
     if (gc_thread_.joinable()) {
       // After the last worker exits no append can race the final flush; the
-      // daemon's exit path flushes and drains the held-ack queues.
+      // daemon's exit path flushes every log and answers every held ack.
       {
         std::lock_guard<std::mutex> g(gc_mu_);
         gc_stop_ = true;
@@ -370,8 +369,11 @@ class Service {
       d.appended_lsn += s.appended_lsn;
       d.durable_lsn += s.durable_lsn;
     }
-    for (const auto& h : held_) d.acks_held += h->approx_depth();
-    d.acks_held += spill_depth_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      std::lock_guard<std::mutex> g(held_[i].mu);
+      d.acks_held += held_[i].acks.size();
+    }
+    d.acks_held += answering_.load(std::memory_order_relaxed);
     return d;
   }
 
@@ -397,12 +399,6 @@ class Service {
     if (cfg.telemetry.ring < 1) cfg.telemetry.ring = 1;
     if (cfg.durability.group_commit_us < 50) cfg.durability.group_commit_us = 50;
     if (cfg.durability.batch < 1) cfg.durability.batch = 1;
-    // The held-ack ring must absorb at least one full request ring's worth
-    // of completions between ticks, or workers would stall on their own
-    // drain during shutdown.
-    if (cfg.durability.pending_ring < cfg.queue_capacity) {
-      cfg.durability.pending_ring = cfg.queue_capacity;
-    }
     return cfg;
   }
 
@@ -567,42 +563,28 @@ class Service {
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
     // Ack gating (DESIGN.md §14): a committed update is appended to the
-    // shard's WAL and its completion is parked until the group-commit daemon
-    // has made the covering LSN durable. Read-only ops, failed requests and
-    // -durability off keep the old immediate-ack path.
+    // shard's WAL and its completion is held until the group-commit daemon's
+    // next flush covers it. Read-only ops, failed requests and -durability
+    // off keep the immediate-ack path.
     if constexpr (HasLoggedOp<App>::value) {
       if (!logs_.empty() && resp.status == Status::kOk &&
           App::logged_op(req.op)) {
         resp.lsn = logs_[static_cast<std::size_t>(tid)]->append(
             req.id, req.key, req.arg, req.op);
         if (req.done != nullptr) hold_ack(tid, req, resp);
+        // The group-commit doorbell (DurabilityConfig::batch) rings here,
+        // after SI-HTM's safety wait, where a batched fsync piggybacks at no
+        // added latency (DESIGN.md §14).
+        const std::uint64_t n =
+            logged_since_flush_.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (n % cfg_.durability.batch == 0) gc_cv_.notify_one();
         return;
       }
     }
     if (req.done != nullptr) req.done(req.ctx, resp);
   }
 
-  /// Parks a completed-but-not-yet-durable response on the shard's held-ack
-  /// ring. The ring is sized to absorb a full tick's worth of completions;
-  /// if the daemon falls behind (fsync stall) the worker waits here, which
-  /// is the correct backpressure — it cannot ack and must not run ahead
-  /// unboundedly.
-  void hold_ack(int tid, const Request& req, const Response& resp) {
-    HeldAck ack;
-    ack.lsn = resp.lsn;
-    ack.enqueue_ns = req.enqueue_ns;
-    ack.resp = resp;
-    ack.done = req.done;
-    ack.ctx = req.ctx;
-    auto& ring = *held_[static_cast<std::size_t>(tid)];
-    while (ring.try_push(ack) != Admit::kAccepted) {
-      gc_cv_.notify_one();
-      std::this_thread::yield();
-    }
-  }
-
-  /// A completed response waiting for its covering fsync. Trivially
-  /// copyable so the MpscRing moves it by assignment, like Request.
+  /// A completed response waiting for the flush that covers its LSN.
   struct HeldAck {
     std::uint64_t lsn = 0;
     double enqueue_ns = 0.0;
@@ -610,6 +592,34 @@ class Service {
     CompletionFn done = nullptr;
     void* ctx = nullptr;
   };
+
+  /// One shard's held acks, in append order: the shard worker pushes, the
+  /// group-commit daemon swaps the whole list out.
+  struct alignas(128) HeldAcks {
+    std::mutex mu;
+    std::vector<HeldAck> acks;  ///< guarded by mu
+  };
+
+  /// Holds a completed-but-not-yet-durable response until the daemon's next
+  /// flush. Called right after the append, so every ack the daemon swaps out
+  /// has its record in that flush or an earlier one. If the daemon falls
+  /// behind (fsync stall) the worker waits here once `held_cap_` acks are
+  /// held, which is the correct backpressure: it cannot ack and must not
+  /// run ahead unboundedly.
+  void hold_ack(int tid, const Request& req, const Response& resp) {
+    HeldAcks& h = held_[static_cast<std::size_t>(tid)];
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> g(h.mu);
+        if (h.acks.size() < held_cap_) {
+          h.acks.push_back({resp.lsn, req.enqueue_ns, resp, req.done, req.ctx});
+          return;
+        }
+      }
+      gc_cv_.notify_one();
+      std::this_thread::yield();
+    }
+  }
 
   /// Opens one ShardLog per shard (worker tid == shard index == log index).
   /// Throws on an unopenable directory/file or a shard-layout mismatch —
@@ -624,7 +634,6 @@ class Service {
       throw std::invalid_argument("durability enabled but no log dir");
     }
     logs_.reserve(static_cast<std::size_t>(cfg_.shards));
-    held_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
       auto log = std::make_unique<si::durability::ShardLog>();
       std::string err;
@@ -634,107 +643,73 @@ class Service {
         throw std::runtime_error("wal: " + err);
       }
       logs_.push_back(std::move(log));
-      held_.push_back(
-          std::make_unique<MpscRing<HeldAck>>(cfg_.durability.pending_ring));
     }
-    spill_.resize(static_cast<std::size_t>(cfg_.shards));
+    held_ = std::make_unique<HeldAcks[]>(static_cast<std::size_t>(cfg_.shards));
+    // At least a full request ring's worth of completions between ticks, or
+    // workers would stall on their own drain during shutdown.
+    held_cap_ = std::max<std::size_t>(8192, cfg_.queue_capacity);
   }
 
-  /// Rings the group-commit doorbell every `durability.batch` committed
-  /// updates. Installed into cfg_.runtime before rt_ is constructed (the
-  /// runtime copies its config), so it runs in the initializer list like
-  /// make_own_metrics(). The hook fires on the shard worker right after the
-  /// backend's commit — for SI-HTM that is the far edge of the safety wait,
-  /// which is where a batched fsync piggybacks at zero added latency
-  /// (DESIGN.md §14).
-  bool install_commit_hook() {
-    if (!cfg_.durability.enabled()) return false;
-    cfg_.runtime.on_commit.fn = [](void* ctx, bool is_ro) {
-      if (is_ro) return;
-      auto* self = static_cast<Service*>(ctx);
-      const std::uint64_t n =
-          self->commits_since_flush_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (n % self->cfg_.durability.batch == 0) self->gc_cv_.notify_one();
-    };
-    cfg_.runtime.on_commit.ctx = this;
-    return true;
-  }
-
-  /// Group-commit daemon: on every tick (or early doorbell) flush all shard
-  /// logs — one write + at most one fsync per shard per tick, amortised over
-  /// every commit in the window — then release the acks the new durable
-  /// LSNs cover. The exit path runs one final flush_and_release() after the
-  /// workers quiesced, so stop() drains with zero held acks and a clean,
-  /// fully-fsynced log tail.
+  /// Group-commit daemon: on every tick (or early doorbell) flush every
+  /// shard log — one write + at most one fsync per shard per tick, amortised
+  /// over every commit in the window — and answer the acks it covers. The
+  /// exit path runs one final pass after the workers quiesced, so stop()
+  /// drains with zero held acks and a clean, fully-fsynced log tail.
   void group_commit_loop() {
     const auto tick = std::chrono::microseconds(cfg_.durability.group_commit_us);
+    std::vector<HeldAck> batch;
     std::unique_lock<std::mutex> lk(gc_mu_);
     while (!gc_stop_) {
       gc_cv_.wait_for(lk, tick);
       lk.unlock();
-      commits_since_flush_.store(0, std::memory_order_relaxed);
-      flush_and_release();
+      logged_since_flush_.store(0, std::memory_order_relaxed);
+      flush_and_answer(batch);
       lk.lock();
     }
     lk.unlock();
-    flush_and_release();
-    fail_held_acks();
+    flush_and_answer(batch);
   }
 
-  void flush_and_release() {
-    for (auto& log : logs_) log->flush();
-    std::size_t still_held = 0;
+  /// One pass per shard: swap its held acks out, flush its log, answer them.
+  /// Workers append before they hold, so every swapped ack's record is in
+  /// this flush or an earlier one: OK when the durable LSN covers it, and
+  /// otherwise the log has failed (durability/wal.hpp) and it is answered
+  /// Status::kFailed — never OK, and never later than this tick.
+  void flush_and_answer(std::vector<HeldAck>& batch) {
+    si::obs::Metrics* metrics = cfg_.runtime.obs.metrics;
     for (int s = 0; s < cfg_.shards; ++s) {
-      auto& ring = *held_[static_cast<std::size_t>(s)];
-      auto& spill = spill_[static_cast<std::size_t>(s)];
-      HeldAck buf[64];
-      std::size_t n;
-      while ((n = ring.pop_batch(buf, 64)) > 0) {
-        spill.insert(spill.end(), buf, buf + n);
+      {
+        HeldAcks& h = held_[static_cast<std::size_t>(s)];
+        std::lock_guard<std::mutex> g(h.mu);
+        batch.swap(h.acks);  // the worker gets the drained, reserved buffer
+        answering_.store(batch.size(), std::memory_order_relaxed);
       }
-      const std::uint64_t durable =
-          logs_[static_cast<std::size_t>(s)]->durable_lsn();
+      si::durability::ShardLog& log = *logs_[static_cast<std::size_t>(s)];
+      log.flush();
+      const std::uint64_t durable = log.durable_lsn();
       const double now = si::obs::wall_ns();
-      si::obs::Metrics* metrics = cfg_.runtime.obs.metrics;
-      // Workers push in append order, so the spill deque is LSN-sorted per
-      // shard and the releasable prefix ends at the first LSN > durable.
-      while (!spill.empty() && spill.front().lsn <= durable) {
-        const HeldAck& ack = spill.front();
-        if (metrics != nullptr) {
-          const double d = now - ack.enqueue_ns;
-          metrics->of(s).durable_ack.record(
-              d > 0 ? static_cast<std::uint64_t>(d) : 0);
+      for (HeldAck& ack : batch) {
+        if (ack.lsn <= durable) {
+          if (metrics != nullptr) {
+            const double d = now - ack.enqueue_ns;
+            metrics->of(s).durable_ack.record(
+                d > 0 ? static_cast<std::uint64_t>(d) : 0);
+          }
+        } else {
+          ack.resp.status = Status::kFailed;
+          failed_.fetch_add(1, std::memory_order_relaxed);
         }
         ack.done(ack.ctx, ack.resp);
-        spill.pop_front();
       }
-      still_held += spill.size();
+      batch.clear();
+      answering_.store(0, std::memory_order_relaxed);
     }
-    spill_depth_.store(still_held, std::memory_order_relaxed);
-  }
-
-  /// Answers every ack still held with Status::kFailed. Runs on the daemon's
-  /// exit path, after the workers joined and the final flush released all it
-  /// could: what is left waits on a poisoned log that will never make it
-  /// durable, so it must not be acked OK, yet it must be answered.
-  void fail_held_acks() {
-    for (auto& spill : spill_) {
-      for (HeldAck& ack : spill) {
-        ack.resp.status = Status::kFailed;
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        ack.done(ack.ctx, ack.resp);
-      }
-      spill.clear();
-    }
-    spill_depth_.store(0, std::memory_order_relaxed);
   }
 
   ServiceConfig cfg_;
   App& app_;
   /// Declared before rt_: make_own_metrics() patches cfg_.runtime.obs.
   std::unique_ptr<si::obs::Metrics> own_metrics_;
-  /// Declared before rt_: install_commit_hook() patches cfg_.runtime.
-  bool commit_hook_installed_ = false;
   si::runtime::Runtime rt_;
   std::vector<std::unique_ptr<RequestQueue>> queues_;
   std::atomic<bool> stopping_{false};
@@ -757,10 +732,10 @@ class Service {
   std::atomic<std::uint64_t> failed_{0};
   // Durability tier (empty/idle when cfg_.durability.mode == kOff).
   std::vector<std::unique_ptr<si::durability::ShardLog>> logs_;
-  std::vector<std::unique_ptr<MpscRing<HeldAck>>> held_;
-  std::vector<std::deque<HeldAck>> spill_;  ///< daemon-owned release queues
-  std::atomic<std::size_t> spill_depth_{0};
-  std::atomic<std::uint64_t> commits_since_flush_{0};
+  std::unique_ptr<HeldAcks[]> held_;  ///< one per shard
+  std::size_t held_cap_ = 0;          ///< per-shard backpressure bound
+  std::atomic<std::size_t> answering_{0};  ///< the daemon's current batch
+  std::atomic<std::uint64_t> logged_since_flush_{0};
   std::mutex gc_mu_;
   std::condition_variable gc_cv_;
   bool gc_stop_ = false;  ///< guarded by gc_mu_

@@ -286,19 +286,15 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
       run_real(Backend::kSiHtm, script, {.obs = {&tracer, &metrics}});
   const auto plain = run_real(Backend::kSiHtm, script);
   expect_equivalent(traced, plain);
-  if (si::obs::kTraceEnabled) {  // stubs record nothing under SI_TRACE=0
-    EXPECT_GT(tracer.emitted(0), 0u);
-    EXPECT_EQ(metrics.snapshot().commit_latency.count(), traced.stats.commits);
-  }
+  EXPECT_GT(tracer.emitted(0), 0u);
+  EXPECT_EQ(metrics.snapshot().commit_latency.count(), traced.stats.commits);
 
   si::obs::Tracer sim_tracer(1);
   const auto sim_traced =
       run_sim(Backend::kSiHtm, script, {.obs = {&sim_tracer, nullptr}});
   const auto sim_plain = run_sim(Backend::kSiHtm, script);
   expect_equivalent(sim_traced, sim_plain);
-  if (si::obs::kTraceEnabled) {
-    EXPECT_GT(sim_tracer.emitted(0), 0u);
-  }
+  EXPECT_GT(sim_tracer.emitted(0), 0u);
 }
 
 TEST_P(EquivalenceTest, SlimVsTtasSgl) {

@@ -27,17 +27,9 @@ using si::obs::Tracer;
 using si::obs::TraceEventKind;
 using si::obs::TraceRecord;
 
-// Everything here exercises the live tracer; under -DSIHTM_TRACE=OFF the
-// stubs record nothing, so the whole file degrades to skips.
-#define SKIP_IF_TRACE_COMPILED_OUT()                 \
-  if (!si::obs::kTraceEnabled) {                     \
-    GTEST_SKIP() << "built with SI_TRACE=0";         \
-  }
-
 // --- ring buffer semantics ---------------------------------------------------
 
 TEST(TracerTest, EmitsAndDrainsInOrder) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   Tracer t(2, 16);
   t.emit(0, TraceEventKind::kBegin, 10.0);
   t.emit(0, TraceEventKind::kCommit, 20.0, 1);
@@ -55,7 +47,6 @@ TEST(TracerTest, EmitsAndDrainsInOrder) {
 }
 
 TEST(TracerTest, RingWrapKeepsNewestOldestFirst) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   Tracer t(1, 8);
   for (int i = 0; i < 11; ++i) {
     t.emit(0, TraceEventKind::kSuspend, static_cast<double>(i));
@@ -70,7 +61,6 @@ TEST(TracerTest, RingWrapKeepsNewestOldestFirst) {
 }
 
 TEST(TracerTest, EpochBumpsOnBeginOnly) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   Tracer t(1, 16);
   t.emit(0, TraceEventKind::kBegin, 1.0);
   t.emit(0, TraceEventKind::kAbort, 2.0);
@@ -90,7 +80,6 @@ TEST(TracerTest, EpochBumpsOnBeginOnly) {
 // in the exporter (key order, spacing, number formatting) is a breaking
 // change for downstream tooling and must show up here.
 TEST(ChromeTraceTest, GoldenSingleTransaction) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   Tracer t(1, 16);
   t.emit(0, TraceEventKind::kBegin, 100.0);
   t.emit(0, TraceEventKind::kSuspend, 200.0);
@@ -204,7 +193,6 @@ TEST(ChromeTraceTest, GoldenSingleTransaction) {
 }
 
 TEST(ChromeTraceTest, TruncatedRingStaysBalanced) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   // A begin whose close fell off the ring must be force-closed, and a close
   // with no open must be skipped — the rendered span stream stays balanced.
   Tracer t(1, 4);
@@ -267,7 +255,6 @@ SimTraceRun run_sim_hashmap(bool with_obs, int threads = 4,
 }
 
 TEST(ChromeTraceTest, SimExportByteStableAcrossRuns) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   const auto a = run_sim_hashmap(true);
   const auto b = run_sim_hashmap(true);
   EXPECT_GT(a.commits, 0u);
@@ -277,7 +264,6 @@ TEST(ChromeTraceTest, SimExportByteStableAcrossRuns) {
 }
 
 TEST(ObsEquivalenceTest, TracingDoesNotChangeSimOutcome) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   // Obs hooks are pure bookkeeping: they never advance virtual time, so a
   // traced run and an untraced run of the same seed commit identically.
   const auto traced = run_sim_hashmap(true);
@@ -288,7 +274,6 @@ TEST(ObsEquivalenceTest, TracingDoesNotChangeSimOutcome) {
 }
 
 TEST(ObsInvariantTest, EveryCommittedHwUpdateTxHasAWaitSpan) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   // Algorithm 1: an update ROT publishes, then waits for stragglers before
   // HTMEnd. The trace must show a matched safety-wait span inside every
   // committed hw-path transaction, even when there were zero stragglers.
@@ -333,7 +318,6 @@ TEST(ObsInvariantTest, EveryCommittedHwUpdateTxHasAWaitSpan) {
 }
 
 TEST(ObsMetricsTest, CountsMatchTraceAndStats) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   const auto run = run_sim_hashmap(true);
   std::uint64_t commits = 0, waits = 0;
   for (const auto& recs : run.records) {
@@ -359,7 +343,6 @@ std::set<TraceEventKind> kinds_of(const std::vector<TraceRecord>& recs) {
 }
 
 TEST(ObsTaxonomyTest, RealAndSimEmitTheSameLifecycleKinds) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   constexpr int kThreads = 2;
   const std::set<TraceEventKind> core = {
       TraceEventKind::kBegin,          TraceEventKind::kSuspend,

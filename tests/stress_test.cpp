@@ -284,7 +284,6 @@ TEST(StressObs, ConcurrentEmittersWithMidRunCounterReads) {
   // The tracer's thread-safety claim: emitters never share a slot (each owns
   // its ring) and the cursor is safe to read from any thread mid-run. Hammer
   // both sides at once — under TSan this is the proof.
-  if (!si::obs::kTraceEnabled) GTEST_SKIP() << "built with SI_TRACE=0";
   constexpr int kThreads = 6;
   constexpr std::uint64_t kEvents = 20000;
   si::obs::Tracer tracer(kThreads, 1u << 8);  // small ring: constant wrapping
@@ -333,7 +332,6 @@ TEST(StressObs, TracedAdversarialMixStaysBalanced) {
   // capacity overflows and SGL fallbacks. Every drained ring must hold
   // balanced attempt brackets (begin / commit-or-abort alternation) and the
   // metrics commit count must match the backend's own statistics.
-  if (!si::obs::kTraceEnabled) GTEST_SKIP() << "built with SI_TRACE=0";
   constexpr int kThreads = 4;
   si::obs::Tracer tracer(kThreads);
   si::obs::Metrics metrics(kThreads);

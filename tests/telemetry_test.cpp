@@ -481,11 +481,6 @@ TEST(ServiceTelemetryTest, SeriesReconcilesWithCountersAfterDrain) {
 
 // --- trace/live parity and sim equivalence -----------------------------------
 
-#define SKIP_IF_TRACE_COMPILED_OUT()         \
-  if (!si::obs::kTraceEnabled) {             \
-    GTEST_SKIP() << "built with SI_TRACE=0"; \
-  }
-
 struct SimObsRun {
   std::string chrome;
   std::uint64_t commits = 0;
@@ -526,7 +521,6 @@ SimObsRun run_sim(bool with_tracer, bool with_metrics, int threads = 4,
 }
 
 TEST(TaxonomyParityTest, TraceSummaryMatchesLiveMetrics) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   const auto run = run_sim(/*with_tracer=*/true, /*with_metrics=*/true);
   ASSERT_EQ(run.dropped, 0u) << "ring too small for parity comparison";
   EXPECT_GT(run.commits, 0u);
@@ -554,7 +548,6 @@ TEST(TaxonomyParityTest, TraceSummaryMatchesLiveMetrics) {
 }
 
 TEST(TelemetryEquivalenceTest, MetricsHooksDoNotChangeSimOutcome) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   // The taxonomy/metrics hooks are pure bookkeeping: attaching the metrics
   // sink must leave the simulated schedule — and therefore the emitted
   // trace — byte-identical to a tracer-only run.
@@ -569,7 +562,6 @@ TEST(TelemetryEquivalenceTest, MetricsHooksDoNotChangeSimOutcome) {
 }
 
 TEST(TraceSummaryTest, PrintSummaryListsTaxonomy) {
-  SKIP_IF_TRACE_COMPILED_OUT();
   si::obs::Tracer tracer(1, 64);
   tracer.emit(0, si::obs::TraceEventKind::kBegin, 1.0);
   tracer.emit(0, si::obs::TraceEventKind::kAbort, 2.0,

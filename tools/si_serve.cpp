@@ -63,7 +63,7 @@ void usage(const char* prog) {
                "          [-admin-port P] [-series-epoch-ms N] [-series-ring N]\n"
                "          [-buckets N] [-elements N] [-warehouses N]\n"
                "          [-struct skiplist|bst|btree] [-scan-cap N]\n"
-               "          [-durability off|buffered|fsync|odirect] [-log-dir D]\n"
+               "          [-durability off|buffered|fsync] [-log-dir D]\n"
                "          [-group-commit-us N] [-group-commit-batch N]\n"
                "          [-recover] [-recover-only] [-recover-verify]\n"
                "          [-json FILE]\n",
@@ -304,7 +304,6 @@ int run_recovery(App& app, const si::serve::ServiceConfig& scfg,
   si::runtime::RuntimeConfig rcfg = scfg.runtime;
   rcfg.max_threads = 1;
   rcfg.obs = {};
-  rcfg.on_commit = {};
   std::unique_ptr<si::check::HistoryRecorder> recorder;
   if (cli.has("recover-verify")) {
     recorder = std::make_unique<si::check::HistoryRecorder>(1);

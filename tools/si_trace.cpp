@@ -150,13 +150,6 @@ int main(int argc, char** argv) {
   opt.real = cli.has("real");
   opt.ops = static_cast<std::uint64_t>(cli.get_int("ops", 20000));
 
-#if !SI_TRACE
-  std::fprintf(stderr,
-               "si_trace: built with SI_TRACE=0 (SIHTM_TRACE=OFF); the "
-               "tracer is compiled out.\n");
-  return 2;
-#endif
-
   si::obs::Tracer tracer(opt.threads);
   si::obs::Metrics metrics(opt.threads);
   const si::obs::ObsConfig obs{&tracer, &metrics};
